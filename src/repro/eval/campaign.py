@@ -21,6 +21,13 @@ those matrices two ways, with identical results:
   with its traceback and excluded from aggregates instead of killing
   the sweep.
 
+Both run in two waves.  Wave 1 calibrates once per
+:func:`calibration_key` among the cells to execute; wave 2 runs the
+cells against those calibrations (on the pool, each submitted cell
+carries its :class:`~repro.sim.runner.Calibration`, largest baseline
+first).  A cell's runtime is therefore one scheme run, and a failed
+calibration fails exactly the cells that depend on it.
+
 Cells are **deduplicated by content address** across experiments: the
 (atax, SHM, default-config) run that Fig. 12, Fig. 13 and Fig. 16 all
 need is simulated once and aggregated three times.  The address —
@@ -50,7 +57,7 @@ from repro.obs.events import EventLog, merge_spool
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.store import TelemetryStore
 from repro.sim.parallel import execute_jobs
-from repro.sim.runner import Runner
+from repro.sim.runner import Calibration, Runner
 from repro.sim.stats import RunResult, mean
 from repro.eval.results_io import (
     CELL_FORMAT_VERSION,
@@ -102,7 +109,9 @@ class JobSpec:
     materialise the workload (optionally a variant of
     ``workload_base`` with ``workload_overrides`` applied), then
     either profile it (``kind="profile"``, Fig. 5) or simulate
-    ``scheme`` with the given scheme-config ``overrides``.
+    ``scheme`` with the given scheme-config ``overrides``.  The
+    campaign's calibration wave submits ``kind="calibrate"`` jobs,
+    which return the workload's :class:`Calibration`.
 
     ``experiment`` and ``series`` are presentation only: they say
     where the cell's value lands in the aggregate and are excluded
@@ -113,7 +122,7 @@ class JobSpec:
     workload: str
     scheme: str = Scheme.SHM.value
     series: str = ""
-    kind: str = "run"  # "run" | "profile"
+    kind: str = "run"  # "run" | "profile" | "calibrate"
     scale: float = 1.0
     config: SimConfig = field(default_factory=SimConfig)
     #: Keyword overrides forwarded to ``SimConfig.with_scheme`` (e.g.
@@ -137,6 +146,10 @@ class JobSpec:
     #: the payload.  Unlike ``collect_metrics`` this does not force the
     #: legacy core.  Execution detail — excluded from :func:`cell_key`.
     collect_decisions: bool = False
+    #: The cell's calibration, attached by the campaign only to the
+    #: copy it submits to the pool: the worker seeds its runner with it
+    #: instead of recalibrating.  Excluded from :func:`cell_key`.
+    calibration: Optional[Calibration] = None
 
 
 @dataclass
@@ -208,6 +221,29 @@ def cell_key(job: JobSpec, version: Optional[str] = None) -> str:
     })
 
 
+def calibration_key(job: JobSpec) -> str:
+    """The identity of the calibration a cell runs against: two cells
+    may share a calibration exactly when their keys are equal.
+
+    The calibration simulates the *unprotected* scheme, so it depends
+    on the workload (suite name, variant overrides or composed spec),
+    the scale and the GPU model; its recorded-stream profile is chunked
+    by the detector geometry.  The scheme, its overrides and the MDC
+    never reach it.
+    """
+    detectors = job.config.scheme.detectors
+    return stable_hash({
+        "workload": job.workload,
+        "workload_base": job.workload_base,
+        "workload_overrides": job.workload_overrides,
+        "workload_spec": job.workload_spec,
+        "scale": job.scale,
+        "gpu": job.config.gpu,
+        "readonly_region_size": detectors.readonly_region_size,
+        "stream_chunk_size": detectors.stream_chunk_size,
+    })
+
+
 # ---------------------------------------------------------------------------
 # Cell evaluation (shared by the serial path and the worker pool)
 # ---------------------------------------------------------------------------
@@ -231,9 +267,12 @@ def _ensure_workload(runner: Runner, job: JobSpec) -> None:
 
 def _evaluate_cell(runner: Runner, job: JobSpec) -> Dict[str, Any]:
     """Execute one cell on ``runner``; returns the in-memory payload
-    (``{"result", "baseline"}`` RunResults, or ``{"profile"}``; plus
-    ``"decisions"`` for ``collect_decisions`` cells)."""
+    (``{"result", "baseline"}`` RunResults, ``{"profile"}`` or
+    ``{"calibration"}``; plus ``"decisions"`` for ``collect_decisions``
+    cells)."""
     _ensure_workload(runner, job)
+    if job.kind == "calibrate":
+        return {"calibration": runner.calibration(job.workload)}
     if job.kind == "profile":
         profile = runner.profile(job.workload)
         return {"profile": {
@@ -282,7 +321,10 @@ def _deserialize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 def _cell_worker(job: JobSpec) -> Dict[str, Any]:
     """Top-level worker entry point (must be picklable): one fresh
-    runner, one cell, a JSON-safe payload back.
+    runner, one cell, a JSON-safe payload back — or, for a
+    ``kind="calibrate"`` job, the :class:`Calibration` itself (pickled
+    home by the pool).  A job carrying a ``calibration`` seeds the
+    runner with it, so the cell does not recalibrate.
 
     With ``job.collect_metrics`` the run happens under an observer and
     the payload carries the worker's metrics as a ``"metrics"`` state
@@ -294,7 +336,11 @@ def _cell_worker(job: JobSpec) -> Dict[str, Any]:
         from repro.obs.observer import Observer
         observer = Observer(timeseries=False)
     runner = Runner(config=job.config, scale=job.scale, observer=observer)
-    payload = _serialize_payload(_evaluate_cell(runner, job))
+    if job.calibration is not None:
+        runner._calibrations[job.workload] = job.calibration
+    payload = _evaluate_cell(runner, job)
+    if job.kind != "calibrate":
+        payload = _serialize_payload(payload)
     if observer is not None:
         payload["metrics"] = observer.metrics.state()
     return payload
@@ -303,44 +349,39 @@ def _cell_worker(job: JobSpec) -> Dict[str, Any]:
 class _SerialEvaluator:
     """Executes cells in-process against one shared runner.
 
-    Cells whose ``config`` differs from the parent runner's (the MDC
-    ablation) run on *sibling* runners that share the parent's
-    workload and calibration caches — the unprotected calibration does
-    not depend on the varied knobs, so sharing is sound and avoids
-    re-calibrating per cell.
+    Cells whose ``config`` or ``scale`` differs from the parent
+    runner's (the MDC ablation) run on *sibling* runners, one per
+    (config, scale).  Siblings at the parent's scale share its
+    workload cache, and its calibration cache too when
+    :func:`calibration_key` says the calibrations coincide — the
+    unprotected calibration does not depend on the varied knobs, so
+    sharing is sound and avoids re-calibrating per config.
     """
 
     def __init__(self, runner: Runner) -> None:
         self.runner = runner
-        self._siblings: Dict[SimConfig, Runner] = {}
+        self._siblings: Dict[tuple, Runner] = {}
 
     def _runner_for(self, job: JobSpec) -> Runner:
-        if job.config == self.runner.config:
+        if job.config == self.runner.config and job.scale == self.runner.scale:
             return self.runner
-        if job.scale != self.runner.scale:
-            # Calibrations are scale-specific; no sharing possible.
-            return Runner(config=job.config, scale=job.scale)
-        sibling = self._siblings.get(job.config)
+        sibling = self._siblings.get((job.config, job.scale))
         if sibling is None:
             sibling = Runner(config=job.config, scale=job.scale)
-            sibling._workloads = self.runner._workloads
-            if self._calibration_compatible(job.config):
-                sibling._calibrations = self.runner._calibrations
-            self._siblings[job.config] = sibling
+            if job.scale == self.runner.scale:
+                sibling._workloads = self.runner._workloads
+                if self._calibration_compatible(job):
+                    sibling._calibrations = self.runner._calibrations
+            self._siblings[(job.config, job.scale)] = sibling
         return sibling
 
-    def _calibration_compatible(self, config: SimConfig) -> bool:
-        """May a sibling share the parent's calibration cache?
-
-        The calibration run uses the *unprotected* scheme on the
-        parent's GPU model, and its recorded-stream profile is chunked
-        by the detector geometry — so sharing is only sound when both
-        the GPU config (e.g. a DRAM-scheduler ablation changes the
-        contention model) and the detector sizing match the parent's.
-        """
-        parent = self.runner.config
-        return (config.gpu == parent.gpu
-                and config.scheme.detectors == parent.scheme.detectors)
+    def _calibration_compatible(self, job: JobSpec) -> bool:
+        """May ``job``'s sibling share the parent's calibration cache?
+        Only when the job's calibration is the one the parent's config
+        would compute (e.g. a DRAM-scheduler ablation changes the GPU
+        contention model, so it does not)."""
+        return calibration_key(job) == calibration_key(
+            dc_replace(job, config=self.runner.config))
 
     def evaluate(self, job: JobSpec) -> Dict[str, Any]:
         return _evaluate_cell(self._runner_for(job), job)
@@ -620,6 +661,42 @@ def run_campaign(
         cells[key] = cell
         announce(key, unique[key], cell)
 
+    # -- wave 1: one calibration per calibration key ------------------
+    ckey_of = {key: calibration_key(unique[key]) for key in to_run}
+    groups: Dict[str, List[str]] = {}
+    for key in to_run:
+        groups.setdefault(ckey_of[key], []).append(key)
+    calibration_jobs = [
+        dc_replace(unique[keys[0]], kind="calibrate",
+                   scheme=Scheme.UNPROTECTED.value,
+                   collect_metrics=collect_metrics)
+        for keys in groups.values()
+    ]
+    calibrations: Dict[str, Calibration] = {}
+    calibration_rows: List[dict] = []
+
+    def calibrated(ckey: str, calib: Calibration, runtime: float) -> None:
+        calibrations[ckey] = calib
+        row = {"key": ckey, "workload": unique[groups[ckey][0]].workload,
+               "window": calib.window, "target": calib.target,
+               "achieved": calib.achieved, "error": calib.error,
+               "in_tolerance": calib.in_tolerance, "rounds": calib.rounds}
+        calibration_rows.append({**row, "runtime_s": round(runtime, 4)})
+        if events is not None:
+            events.emit("calibration_completed", runtime=round(runtime, 4),
+                        **row)
+
+    def calibration_failed(ckey: str, error: Optional[str],
+                           reason: Optional[str], attempts: int) -> None:
+        """No fallback: every cell of a failed calibration fails."""
+        for key in groups[ckey]:
+            cell = _Cell(status="failed",
+                         error=f"[calibration {reason}] {error}",
+                         attempts=attempts)
+            emit_terminal(key, cell, reason=reason)
+            record_executed(key, cell)
+
+    # -- wave 2: the cells, against their calibrations -----------------
     if to_run and serial:
         serial_observer = None
         if collect_metrics:
@@ -630,7 +707,18 @@ def run_campaign(
         evaluator = _SerialEvaluator(
             Runner(config=config, scale=scale, observer=serial_observer)
         )
+        for ckey, calib_job in zip(groups, calibration_jobs):
+            start = time.monotonic()
+            try:
+                calib = evaluator.evaluate(calib_job)["calibration"]
+            except Exception:
+                calibration_failed(ckey, traceback.format_exc(),
+                                   "exception", 1)
+            else:
+                calibrated(ckey, calib, time.monotonic() - start)
         for key in to_run:
+            if ckey_of[key] not in calibrations:
+                continue
             if events is not None:
                 events.emit("cell_started", cell=key)
             job = unique[key]
@@ -650,8 +738,33 @@ def run_campaign(
                 emit_terminal(key, cell)
                 record_executed(key, cell)
     elif to_run:
+        ckeys = list(groups)
+
+        def on_calibrated(outcome) -> None:
+            ckey = ckeys[outcome.index]
+            if not outcome.ok:
+                calibration_failed(ckey, outcome.error, outcome.reason,
+                                   outcome.attempts)
+                return
+            metrics_state = outcome.value.pop("metrics", None)
+            if metrics_state is not None:
+                registry.merge_state(metrics_state)
+            calibrated(ckey, outcome.value["calibration"], outcome.runtime)
+
+        # Wave-1 jobs are not cells: no cell_started spool, no
+        # cell-scoped fault events.
+        execute_jobs(_cell_worker, calibration_jobs,
+                     jobs=n_workers, timeout=timeout, retries=retries,
+                     on_outcome=on_calibrated)
+
+        # Largest first (the calibrated baseline's cycles estimate a
+        # cell's cost), so no long cell starts last on an idle pool.
+        runnable = [key for key in to_run if ckey_of[key] in calibrations]
+        runnable.sort(
+            key=lambda key: -calibrations[ckey_of[key]].baseline.cycles)
+
         def on_outcome(outcome) -> None:
-            key = to_run[outcome.index]
+            key = runnable[outcome.index]
             if outcome.ok:
                 value = outcome.value
                 metrics_state = value.pop("metrics", None)
@@ -678,7 +791,7 @@ def run_campaign(
             record_executed(key, cell)
 
         def on_retry(index: int, attempt: int, reason: str) -> None:
-            key = to_run[index]
+            key = runnable[index]
             if events is None:
                 return
             if reason == "worker_died":
@@ -688,21 +801,23 @@ def run_campaign(
             events.emit("cell_retry", cell=key, attempt=attempt,
                         reason=reason)
 
-        worker_jobs = [unique[k] for k in to_run]
-        if collect_metrics:
-            worker_jobs = [dc_replace(job, collect_metrics=True)
-                           for job in worker_jobs]
-        if collect_decisions:
-            worker_jobs = [dc_replace(job, collect_decisions=True)
-                           if job.kind == "run" else job
-                           for job in worker_jobs]
+        worker_jobs = [
+            dc_replace(
+                unique[key], calibration=calibrations[ckey_of[key]],
+                collect_metrics=collect_metrics or unique[key].collect_metrics,
+                collect_decisions=(unique[key].collect_decisions
+                                   or (collect_decisions
+                                       and unique[key].kind == "run")),
+            )
+            for key in runnable
+        ]
         execute_jobs(_cell_worker, worker_jobs,
                      jobs=n_workers, timeout=timeout, retries=retries,
                      on_outcome=on_outcome,
                      on_retry=on_retry if events is not None else None,
                      event_spool=(str(events.spool_dir)
                                   if events is not None else None),
-                     tags=to_run if events is not None else None)
+                     tags=runnable if events is not None else None)
         if events is not None:
             merge_spool(events)
 
@@ -740,7 +855,7 @@ def run_campaign(
         names=names, specs=specs, results=results, records=records,
         workloads=workloads, scale=scale, n_workers=n_workers,
         force=force, version=version, store=store, registry=registry,
-        stats=final, campaign=cid,
+        stats=final, campaign=cid, calibrations=calibration_rows,
     )
     if telemetry is not None:
         telemetry.record_campaign(manifest, cid)
@@ -750,7 +865,7 @@ def run_campaign(
 
 def _build_manifest(*, names, specs, results, records, workloads, scale,
                     n_workers, force, version, store, registry,
-                    stats, campaign) -> dict:
+                    stats, campaign, calibrations) -> dict:
     """Assemble the ``campaign_format: 1`` JSON document."""
     experiments = {}
     for name in names:
@@ -794,6 +909,9 @@ def _build_manifest(*, names, specs, results, records, workloads, scale,
             "references": sum(len(r) for r in records.values()),
         },
         "elapsed_seconds": round(stats["elapsed_seconds"], 3),
+        # One row per calibration this run computed (wave 1).
+        "calibrations": sorted(calibrations,
+                               key=lambda row: (row["workload"], row["key"])),
         "metrics": registry.snapshot(),
     }
 

@@ -49,6 +49,10 @@ EVENT_TYPES: Dict[str, tuple] = {
     # campaign scope
     "campaign_started": ("experiments", "cells", "scale", "code_version"),
     "campaign_finished": ("totals",),
+    # one per calibration a campaign computes (its quality vs Table VII)
+    "calibration_completed": ("key", "workload", "window", "target",
+                              "achieved", "error", "in_tolerance",
+                              "rounds"),
     # cell lifecycle
     "cell_cached": ("workload", "scheme"),
     "cell_started": (),
@@ -81,6 +85,7 @@ VOLATILE_FIELDS = ("ts", "seq", "worker", "runtime", "elapsed_seconds",
 #: order they were observed in.
 _TYPE_RANK = {
     "campaign_started": 0,
+    "calibration_completed": 1,
     "cell_cached": 1,
     "cell_started": 1,
     "worker_died": 2,

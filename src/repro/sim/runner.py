@@ -2,12 +2,12 @@
 
 For each workload the runner performs, once:
 
-1. a *recording* run (unprotected scheme) that captures the MEE-visible
-   stream and the unprotected data traffic;
-2. *calibration*: the frontend issue gap is set so the unprotected run
+1. *calibration*: the MLP window is searched so the unprotected run
    hits the workload's published bandwidth utilisation (Table VII);
-3. a *baseline* run at the calibrated gap (the Fig. 12 normaliser);
-4. *profiling*: the recorded stream becomes the ground truth
+   every search round records the MEE-visible stream;
+2. the converged round doubles as the *baseline* run (the Fig. 12
+   normaliser) and the *recording* run;
+3. *profiling*: the recorded stream becomes the ground truth
    (:class:`repro.sim.profiling.TraceProfile`) for detector-accuracy
    stats and the SHM_upper_bound oracle.
 
@@ -47,11 +47,30 @@ CALIBRATION_TOLERANCE = 0.06
 
 @dataclass
 class Calibration:
-    """Per-workload calibration artefacts."""
+    """Per-workload calibration artefacts and their quality."""
 
     window: int
     profile: TraceProfile
     baseline: RunResult
+    #: The Table VII utilisation the search aimed at.
+    target: float = 0.0
+    #: Search rounds simulated (an extra recording run is not a round).
+    rounds: int = 0
+
+    @property
+    def achieved(self) -> float:
+        """The baseline's DRAM utilisation."""
+        return self.baseline.dram_utilization
+
+    @property
+    def error(self) -> float:
+        """Relative distance of ``achieved`` from ``target``."""
+        return (abs(self.achieved - self.target) / self.target
+                if self.target else 0.0)
+
+    @property
+    def in_tolerance(self) -> bool:
+        return self.error <= CALIBRATION_TOLERANCE
 
 
 class Runner:
@@ -156,23 +175,30 @@ class Runner:
 
         Below saturation utilisation grows ~linearly with the window
         (Little's law), so a proportional update converges in a few
-        rounds.  The final round records the MEE-visible stream for
-        the ground-truth profile and doubles as the baseline run.
+        rounds.  Every round records the MEE-visible stream, so the
+        round that settles the window is the recording run and the
+        baseline; only when the rounds run out on a new window is that
+        window simulated once more.  A round's simulator (and its
+        stream) is dropped before the next one runs.
         """
         target = workload.bandwidth_utilization
         recording_config = self.config.with_scheme(Scheme.UNPROTECTED)
-
         observe = self.observer.enabled
-        window = INITIAL_WINDOW
-        result = None
-        for round_idx in range(CALIBRATION_ROUNDS):
-            sim = GPUSimulator(recording_config)
+
+        def record(round_idx: int, window: int):
+            sim = GPUSimulator(recording_config, record_stream=True)
             result = sim.run(workload, gap=GAP_EPSILON, max_inflight=window)
-            measured = result.dram_utilization
             if observe:
                 self.observer.calibration_round(
-                    workload.name, round_idx, window, measured, result.cycles
+                    workload.name, round_idx, window,
+                    result.dram_utilization, result.cycles
                 )
+            return sim, result
+
+        window = INITIAL_WINDOW
+        for round_idx in range(CALIBRATION_ROUNDS):
+            recorder, baseline = record(round_idx, window)
+            measured = baseline.dram_utilization
             if measured <= 0:
                 break
             error = abs(measured - target) / target
@@ -183,19 +209,16 @@ class Runner:
             if scaled == window:
                 break
             window = scaled
+            del recorder, baseline  # at most one recorded stream alive
+        else:
+            recorder, baseline = record(CALIBRATION_ROUNDS, window)
 
-        recorder = GPUSimulator(recording_config, record_stream=True)
-        baseline = recorder.run(workload, gap=GAP_EPSILON, max_inflight=window)
-        if observe:
-            self.observer.calibration_round(
-                workload.name, CALIBRATION_ROUNDS, window,
-                baseline.dram_utilization, baseline.cycles
-            )
         profile = TraceProfile(
             region_size=self.config.scheme.detectors.readonly_region_size,
             chunk_size=self.config.scheme.detectors.stream_chunk_size,
         ).ingest(recorder.streams)
-        return Calibration(window=window, profile=profile, baseline=baseline)
+        return Calibration(window=window, profile=profile, baseline=baseline,
+                           target=target, rounds=round_idx + 1)
 
 
 _shared_runners: Dict[float, Runner] = {}

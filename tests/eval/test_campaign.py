@@ -12,11 +12,13 @@ from repro.eval.campaign import (
     ExperimentResult,
     ExperimentSpec,
     JobSpec,
+    calibration_key,
     cell_key,
     run_campaign,
     run_cells_serial,
     run_smoke,
 )
+from repro.sim.runner import Runner
 
 SCALE = 0.05
 
@@ -300,3 +302,198 @@ class TestCellMetrics:
         run_campaign(["smoke"], scale=SCALE, jobs=2, store_dir=tmp_path,
                      specs={"smoke": SMOKE_SPEC}, registry=registry)
         assert registry.histogram("sim.demand_read_latency").count == 0
+
+
+class TestCalibrationWave:
+    """Campaigns calibrate once per calibration key (wave 1) and ship
+    each Calibration to its cells (wave 2)."""
+
+    def test_pool_calibrates_once_per_workload(self, tmp_path):
+        from repro.obs.events import EventLog, read_events
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.validate import validate_events
+
+        specs = {"test-exp": _spec(_smoke_like(
+            ["atax", "mvt"], (Scheme.NAIVE, Scheme.PSSM, Scheme.SHM)))}
+        pool_reg, serial_reg = MetricsRegistry(), MetricsRegistry()
+        events = EventLog(tmp_path / "events.jsonl")
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=2,
+                              specs=specs, registry=pool_reg,
+                              collect_metrics=True, events=events)
+        events.close()
+        run_campaign(["test-exp"], scale=SCALE, serial=True, specs=specs,
+                     registry=serial_reg, collect_metrics=True)
+
+        assert report.totals["ok"] == 6
+        rows = report.manifest["calibrations"]
+        assert [row["workload"] for row in rows] == ["atax", "mvt"]
+        for row in rows:
+            assert row["in_tolerance"] and row["rounds"] >= 1
+            assert row["achieved"] == pytest.approx(row["target"], rel=0.06)
+        # Per-cell recalibration would multiply the pool's count.
+        rounds = "runner.calibration_rounds"
+        assert (pool_reg.counter(rounds).value
+                == serial_reg.counter(rounds).value > 0)
+        # One calibration_completed per key; wave 1 spools no
+        # cell_started, so every started cell is a real cell.
+        log = read_events(events.path)
+        assert sum(r["type"] == "calibration_completed" for r in log) == 2
+        started = {r["cell"] for r in log if r["type"] == "cell_started"}
+        assert started == {rec.key for rec in report.records["test-exp"]}
+        validate_events(events.path)
+
+    def test_cached_cells_do_not_calibrate(self, tmp_path):
+        specs = {"test-exp": _spec(_smoke_like(["atax"]))}
+        kwargs = dict(scale=SCALE, jobs=2, specs=specs,
+                      store_dir=tmp_path / "store")
+        assert len(run_campaign(["test-exp"], **kwargs)
+                   .manifest["calibrations"]) == 1
+        assert run_campaign(["test-exp"], **kwargs) \
+            .manifest["calibrations"] == []
+
+    @pytest.mark.parametrize("experiment", ["fig12", "fig16"])
+    def test_pool_and_serial_payloads_identical(self, experiment):
+        from repro.eval.results_io import serialize_run_result
+
+        def payloads(report):
+            return {rec.key: (serialize_run_result(rec.result),
+                              serialize_run_result(rec.baseline))
+                    for rec in report.records[experiment]}
+
+        kwargs = dict(workloads=["atax", "mvt"], scale=SCALE)
+        pooled = run_campaign([experiment], jobs=2, **kwargs)
+        serial = run_campaign([experiment], serial=True, **kwargs)
+        assert pooled.totals["failed"] == serial.totals["failed"] == 0
+        assert payloads(pooled) == payloads(serial)
+        assert pooled.manifest["calibrations"] == [
+            dict(row, runtime_s=pooled_row["runtime_s"])
+            for row, pooled_row in zip(serial.manifest["calibrations"],
+                                       pooled.manifest["calibrations"])]
+
+    @pytest.mark.parametrize("serial", [True, False])
+    def test_failed_calibration_fails_only_its_cells(self, serial):
+        specs = {"test-exp": _spec(_smoke_like(
+            ["atax", "no-such-workload"], (Scheme.PSSM, Scheme.SHM)))}
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=2,
+                              serial=serial, specs=specs, retries=0)
+        records = report.records["test-exp"]
+        assert {r.job.workload for r in records if r.ok} == {"atax"}
+        failed = [r for r in records if not r.ok]
+        assert {r.job.workload for r in failed} == {"no-such-workload"}
+        assert len(failed) == 2
+        for rec in failed:
+            assert rec.error.startswith("[calibration exception]")
+            assert "no-such-workload" in rec.error
+        assert ([row["workload"] for row in report.manifest["calibrations"]]
+                == ["atax"])
+
+    def test_calibration_keys(self):
+        from repro.eval.experiments import EXPERIMENTS
+
+        config = SimConfig()
+
+        def keys(name, workloads):
+            return [calibration_key(job) for job in
+                    EXPERIMENTS[name].jobs(workloads, config, SCALE)]
+
+        (plain,) = set(keys("fig12", ["atax"]))
+        # Scheme, scheme overrides and the MDC never reach the
+        # calibration: those cells share the plain one.
+        assert set(keys("fig16", ["atax"])) == {plain}
+        assert set(keys("ablation_mac_conflict", ["atax"])) == {plain}
+        assert set(keys("ablation_mdc_size", ["atax"])) == {plain}
+        # Each DRAM scheduler is its own GPU contention model; fifo is
+        # the default one.
+        sched = keys("ablation_dram_scheduler", ["atax"])
+        assert len(set(sched)) == 3 and plain in sched
+        # kmeans@<util%> variants differ from each other and kmeans.
+        variants = keys("ablation_bandwidth_sensitivity", ["kmeans"])
+        (kmeans,) = set(keys("fig12", ["kmeans"]))
+        assert len(set(variants)) == len(variants) // 2
+        assert kmeans not in variants
+        assert calibration_key(JobSpec(
+            experiment="e", workload="atax", scale=0.1)) != plain
+
+    def test_serial_siblings_share_by_calibration_key(self):
+        from repro.eval.campaign import _SerialEvaluator
+        from repro.eval.experiments import EXPERIMENTS
+
+        runner = Runner(scale=SCALE)
+        evaluator = _SerialEvaluator(runner)
+        mdc = EXPERIMENTS["ablation_mdc_size"].jobs(
+            ["atax"], runner.config, SCALE)[0]
+        banked = EXPERIMENTS["ablation_dram_scheduler"].jobs(
+            ["atax"], runner.config, SCALE)[-1]
+        assert banked.config.gpu.dram_scheduler == "banked"
+        assert (evaluator._runner_for(mdc)._calibrations
+                is runner._calibrations)
+        assert (evaluator._runner_for(banked)._calibrations
+                is not runner._calibrations)
+
+
+class TestCalibrationReuse:
+    """Runner._calibrate keeps the converged search round as the
+    recording run and baseline."""
+
+    def _counting(self, monkeypatch):
+        import repro.sim.runner as runner_mod
+
+        sims = []
+        real = runner_mod.GPUSimulator
+
+        class Counting(real):
+            def run(self, workload, gap=0.001, max_inflight=None):
+                sims.append((max_inflight, self.pipeline.record_stream))
+                return super().run(workload, gap=gap,
+                                   max_inflight=max_inflight)
+
+        monkeypatch.setattr(runner_mod, "GPUSimulator", Counting)
+        return sims
+
+    def _fresh_recording(self, runner, name, window):
+        from repro.sim.gpu import GPUSimulator
+        from repro.sim.profiling import TraceProfile
+        from repro.sim.runner import GAP_EPSILON
+
+        recorder = GPUSimulator(
+            runner.config.with_scheme(Scheme.UNPROTECTED), record_stream=True)
+        baseline = recorder.run(runner.workload(name), gap=GAP_EPSILON,
+                                max_inflight=window)
+        detectors = runner.config.scheme.detectors
+        profile = TraceProfile(region_size=detectors.readonly_region_size,
+                               chunk_size=detectors.stream_chunk_size)
+        return baseline, profile.ingest(recorder.streams)
+
+    def _check_against_fresh(self, runner, name, calib):
+        from repro.eval.results_io import serialize_run_result
+
+        baseline, profile = self._fresh_recording(runner, name, calib.window)
+        assert (serialize_run_result(calib.baseline)
+                == serialize_run_result(baseline))
+        assert vars(calib.profile) == vars(profile)
+
+    def test_converged_round_is_the_recording(self, monkeypatch):
+        runner = Runner(scale=SCALE)
+        sims = self._counting(monkeypatch)
+        calib = runner.calibration("atax")
+        assert calib.in_tolerance
+        assert len(sims) == calib.rounds
+        assert all(recording for _, recording in sims)
+        assert len({window for window, _ in sims}) == len(sims)
+        assert sims[-1][0] == calib.window
+        monkeypatch.undo()
+        self._check_against_fresh(runner, "atax", calib)
+
+    def test_exhausted_rounds_record_the_final_window(self, monkeypatch):
+        import repro.sim.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "CALIBRATION_ROUNDS", 1)
+        runner = Runner(scale=SCALE)
+        sims = self._counting(monkeypatch)
+        calib = runner.calibration("atax")
+        assert calib.rounds == 1
+        assert len(sims) == calib.rounds + 1
+        assert sims[0][0] == runner_mod.INITIAL_WINDOW
+        assert sims[1][0] == calib.window != runner_mod.INITIAL_WINDOW
+        monkeypatch.undo()
+        self._check_against_fresh(runner, "atax", calib)

@@ -11,6 +11,7 @@ from repro.eval.campaign import (
     ExperimentResult,
     ExperimentSpec,
     JobSpec,
+    _cell_worker,
     campaign_id,
     run_campaign,
 )
@@ -61,6 +62,8 @@ def _first_attempt(marker):
 def _crash_then_ok(job):
     """Pool worker fake: hard-dies (as OOM/kill would) on the first
     attempt, then answers like a profile cell."""
+    if job.kind == "calibrate":
+        return _cell_worker(job)  # the calibration wave runs for real
     if _first_attempt(os.environ[_MARKER_VAR]):
         os._exit(13)
     return {"profile": {"streaming_ratio": 0.5, "readonly_ratio": 0.5}}
@@ -69,14 +72,25 @@ def _crash_then_ok(job):
 def _sleep_then_ok(job):
     """Pool worker fake: blows the job budget on the first attempt
     (SIGALRM interrupts the sleep), then answers immediately."""
+    if job.kind == "calibrate":
+        return _cell_worker(job)  # the calibration wave runs for real
     if _first_attempt(os.environ[_MARKER_VAR]):
         time.sleep(30.0)
     return {"profile": {"streaming_ratio": 0.5, "readonly_ratio": 0.5}}
 
 
 def _always_crash(job):
-    """Pool worker fake: dies on every attempt."""
+    """Pool worker fake: dies on every cell attempt."""
+    if job.kind == "calibrate":
+        return _cell_worker(job)  # the calibration wave runs for real
     os._exit(13)
+
+
+def _calibration_crash(job):
+    """Pool worker fake: every calibration attempt dies."""
+    if job.kind == "calibrate":
+        os._exit(13)
+    return _cell_worker(job)
 
 
 def _telemetry(tmp_path):
@@ -245,6 +259,29 @@ class TestFaultTelemetry:
         html = render_html(DashboardState.from_events(
             read_events(events.path)))
         assert "&#10007; 1 failed" in html
+
+
+    def test_dead_calibration_fails_its_cells(self, tmp_path,
+                                              monkeypatch):
+        """A calibration worker that dies on every attempt fails the
+        cells depending on it, which never start (wave 1 spools no
+        cell_started, so no cell dangles)."""
+        monkeypatch.setattr("repro.eval.campaign._cell_worker",
+                            _calibration_crash)
+        events, store = _telemetry(tmp_path)
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=2,
+                              retries=1, specs=_spec(kind="profile"),
+                              events=events, telemetry=store)
+        events.close()
+        (rec,) = report.records["test-exp"]
+        assert not rec.ok and rec.attempts == 2
+        assert rec.error.startswith("[calibration worker_died]")
+        assert report.manifest["calibrations"] == []
+
+        info = validate_events(events.path)
+        assert info["types"]["cell_failed"] == 1
+        assert "cell_started" not in info["types"]
+        assert "calibration_completed" not in info["types"]
 
 
 class TestNoTelemetryByDefault:
