@@ -163,29 +163,13 @@ class TestTelemetryDeterminism:
 
 # ---------------------------------------------------------------------------
 # Decision-ledger determinism: the canonical JSONL export must be
-# byte-identical across execution cores, across the serial and pool
-# campaign paths, and across hash seeds — it is the provenance record
-# campaign cells carry into the telemetry store.
+# byte-identical across the serial and pool campaign paths and across
+# hash seeds — it is the provenance record campaign cells carry into
+# the telemetry store.  ``tests/golden/test_golden_extended.py`` pins
+# the exports themselves.
 # ---------------------------------------------------------------------------
 
 class TestDecisionLedgerDeterminism:
-    def test_export_identical_across_cores(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.obs.decisions import DecisionLedger
-
-        exports = []
-        for core in ("event", "legacy"):
-            ledger = DecisionLedger()
-            runner = Runner(config=replace(SimConfig(), core=core),
-                            scale=SCALE, ledger=ledger)
-            for workload, scheme in CASES:
-                runner.run(workload, scheme)
-            path = tmp_path / f"{core}.jsonl"
-            ledger.write_jsonl(path)
-            exports.append(path.read_bytes())
-        assert exports[0] == exports[1]
-
     def test_serial_and_pool_cell_decisions_agree(self):
         from dataclasses import replace as dc_replace
 
@@ -233,8 +217,8 @@ class TestDecisionLedgerDeterminism:
 # Learned-policy determinism: the learned schemes train on plain
 # floats and draw exploration from crc32 — no ``random`` state, no
 # ``hash()`` — so their runs (and provenance exports) must be
-# byte-identical across execution cores, the serial and pool campaign
-# paths, and hash seeds.  backprop concentrates traffic on few enough
+# byte-identical across the serial and pool campaign paths and hash
+# seeds.  backprop concentrates traffic on few enough
 # regions that the bandit's epochs actually close at this scale.
 # ---------------------------------------------------------------------------
 
@@ -242,24 +226,6 @@ LEARNED_CASES = [("backprop", "pssm_learned"), ("backprop", "shm_bandit")]
 
 
 class TestLearnedPolicyDeterminism:
-    @pytest.mark.parametrize("workload,scheme", LEARNED_CASES)
-    def test_export_identical_across_cores(self, workload, scheme,
-                                           tmp_path):
-        from dataclasses import replace
-
-        from repro.obs.decisions import DecisionLedger
-
-        exports = []
-        for core in ("event", "legacy"):
-            ledger = DecisionLedger()
-            runner = Runner(config=replace(SimConfig(), core=core),
-                            scale=SCALE, ledger=ledger)
-            result = serialize_run_result(runner.run(workload, scheme))
-            path = tmp_path / f"{core}.jsonl"
-            ledger.write_jsonl(path)
-            exports.append((result, path.read_bytes()))
-        assert exports[0] == exports[1]
-
     @pytest.mark.parametrize("workload,scheme", LEARNED_CASES)
     def test_serial_and_pool_cells_agree(self, workload, scheme):
         from dataclasses import replace as dc_replace
