@@ -155,7 +155,7 @@ CTR_HAMMER_SPEC = {
 
 def _inspect_decisions(args: argparse.Namespace) -> int:
     """Live-run the requested schemes with a decision ledger attached
-    (the event core keeps its fast path) and render per-region decision
+    (the fused fast paths stay on) and render per-region decision
     timelines plus the per-scheme accuracy/misprediction-cost tables."""
     from repro.eval.reporting import (
         format_decision_summary,
@@ -458,7 +458,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         smoke=args.smoke, pattern=args.filter,
         repeats=args.repeats, warmup=args.warmup,
         progress=lambda name: print(f"bench {name} ...", flush=True),
-        core=args.core,
     )
     validate_bench(doc)
     output = args.output or bench_mod.default_output_name(doc)
@@ -894,10 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--filter", default=None, metavar="SUBSTR",
                          help="only run benchmarks whose name contains "
                               "SUBSTR")
-    p_bench.add_argument("--core", default=None,
-                         choices=["event", "legacy"],
-                         help="execution core for the macro cells "
-                              "(default: REPRO_CORE or event)")
     p_bench.add_argument("--repeats", type=int, default=None,
                          help="timed samples per benchmark "
                               "(default: 5; smoke: 3)")
@@ -982,8 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--cell-decisions", action="store_true",
                         help="attach a decision ledger to every executed "
                              "cell; summaries land in the manifest, the "
-                             "telemetry store, and cell_decisions events "
-                             "(does not force the legacy core)")
+                             "telemetry store, and cell_decisions events")
     p_camp.add_argument("--telemetry", default=None, metavar="DIR",
                         help="write campaign telemetry here: an event log "
                              "(DIR/events.jsonl) plus a persistent store "

@@ -8,7 +8,6 @@ are pure data.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.common import constants
@@ -223,18 +222,6 @@ def scheme_config(scheme, **overrides) -> SchemeConfig:
     return build_scheme_config(scheme, **overrides)
 
 
-#: Recognised execution cores (``SimConfig.core``).
-CORE_EVENT = "event"
-CORE_LEGACY = "legacy"
-VALID_CORES = (CORE_EVENT, CORE_LEGACY)
-
-
-def _default_core() -> str:
-    """``REPRO_CORE`` flips whole processes (e.g. a CI pytest leg)
-    onto the other core without touching any call site."""
-    return os.environ.get("REPRO_CORE", CORE_EVENT)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one simulation run needs."""
@@ -242,15 +229,6 @@ class SimConfig:
     gpu: GPUConfig = field(default_factory=GPUConfig)
     mdc: MDCConfig = field(default_factory=MDCConfig)
     scheme: SchemeConfig = field(default_factory=lambda: scheme_config(Scheme.SHM))
-    #: Execution core: ``"event"`` (batched, idle-cycle-skipping — the
-    #: default) or ``"legacy"`` (the per-access loop).  The two are
-    #: bit-identical; the knob exists as a transition escape hatch and
-    #: so CI can prove the identity by running the golden oracle on
-    #: both.  Per-access observed runs always take the legacy loop —
-    #: the event core is for unhooked simulation speed — but a
-    #: decision ledger (:mod:`repro.obs.decisions`) taps at decision
-    #: granularity and does *not* force the fallback.
-    core: str = field(default_factory=_default_core)
 
     def with_scheme(self, scheme, **overrides) -> "SimConfig":
         """``scheme`` accepts a :class:`Scheme` or a registry name."""

@@ -12,14 +12,14 @@ DRAM:
   Tables III and IV);
 * BMT nodes (skipped entirely for read-only regions — Fig. 4).
 
-The MEE is a *traffic* model: it returns the DRAM requests an access
-causes.  The functional encrypt/verify path lives in
-:mod:`repro.core.functional`.
+The MEE is a *traffic* model: each metadata transfer an access causes
+occupies its DRAM channel the moment a policy emits it (see
+:meth:`MemoryEncryptionEngine.attach_channels`).  The functional
+encrypt/verify path lives in :mod:`repro.core.functional`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common import constants
@@ -32,7 +32,6 @@ from repro.core.readonly import ReadOnlyDetector
 from repro.core.streaming import StreamingDetector
 from repro.metadata import layout as mlayout
 from repro.metadata.caches import (
-    KIND_BMT,
     KIND_CTR,
     KIND_MAC,
     DisplacedData,
@@ -42,64 +41,6 @@ from repro.metadata.caches import (
 from repro.metadata.counters import CommonCounterTable, CounterFile, SharedCounter
 from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER
-
-
-class DRAMRequest:
-    """One DRAM transfer the simulator must schedule.
-
-    A ``__slots__`` class rather than a dataclass: several instances
-    are created per secure L2 miss, so instance-dict allocation is
-    measurable hot-path overhead.
-
-    ``critical`` is True when decryption of the demand data waits on
-    this transfer (a counter fetch); MAC and BMT transfers are off the
-    critical path — data is forwarded to the cores before
-    verification.  ``address`` is the metadata carve-out address of
-    the transfer (-1 when the request has no single address, e.g. a
-    bulk re-encryption); only address-aware DRAM schedulers (the
-    banked row-buffer model) consume it.
-    """
-
-    __slots__ = ("partition", "size", "is_write", "kind", "critical",
-                 "address")
-
-    def __init__(self, partition: int, size: int, is_write: bool,
-                 kind: str,  # data / ctr / mac / bmt / mispred
-                 critical: bool = False, address: int = -1) -> None:
-        self.partition = partition
-        self.size = size
-        self.is_write = is_write
-        self.kind = kind
-        self.critical = critical
-        self.address = address
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DRAMRequest(partition={self.partition}, size={self.size}, "
-            f"is_write={self.is_write}, kind={self.kind!r}, "
-            f"critical={self.critical}, address={self.address})"
-        )
-
-
-class MEEResult:
-    """Everything one data access caused.
-
-    ``displaced_data`` holds dirty data lines displaced from the L2 by
-    victim insertions; the simulator must run them through the write
-    path.  A ``__slots__`` class: one instance is created per L2 miss
-    and per write-back.
-    """
-
-    __slots__ = ("requests", "displaced_data")
-
-    def __init__(self, requests: Optional[List[DRAMRequest]] = None,
-                 displaced_data: Optional[List[DisplacedData]] = None) -> None:
-        self.requests: List[DRAMRequest] = (
-            [] if requests is None else requests
-        )
-        self.displaced_data: List[DisplacedData] = (
-            [] if displaced_data is None else displaced_data
-        )
 
 
 class TruthProvider:
@@ -144,9 +85,8 @@ class MemoryEncryptionEngine:
         self._observe = self.obs.enabled
         # Decision ledger: a *separate* channel from the observer.  It
         # taps at decision granularity only, so — unlike an observer —
-        # it does NOT flip _observe, does not degrade _fast_meta and
-        # never disarms direct emission: ledgered runs keep the event
-        # core and its fused fast paths.
+        # it does NOT flip _observe and does not degrade _fast_meta:
+        # ledgered runs keep the fused fast paths.
         self.led = ledger if ledger is not None else NULL_LEDGER
         self._led = self.led.enabled
         # Cost scope (see _led_begin/_led_end): while _led_track is
@@ -158,6 +98,8 @@ class MemoryEncryptionEngine:
 
         self.caches = MetadataCaches(config.mdc, partition_id,
                                      observer=observer, profiler=profiler)
+        self.profiler = self.caches.profiler
+        self._profile = self.caches._profile
         self.readonly = ReadOnlyDetector(self.scheme.detectors)
         self.streaming = StreamingDetector(self.scheme.detectors)
         self.counters = CounterFile()
@@ -190,7 +132,11 @@ class MemoryEncryptionEngine:
         # bit-identical to SectoredCache.access's resident branch, and
         # the instrumented layers only exist to emit events/timings
         # that are off here anyway.
-        self._fast_meta = not (self._observe or self.caches._profile)
+        self._fast_meta = not (self._observe or self._profile)
+        # The fused MDC-miss path (_meta_miss) additionally needs the
+        # victim cache off: a victim-mode miss probes and refills the
+        # L2, which only the full MetadataCaches.access path models.
+        self._fuse_miss = self._fast_meta and not self.scheme.l2_victim_cache
         self._spb = constants.SECTORS_PER_BLOCK
         self._bs = constants.BLOCK_SIZE
         self._ctr_cov = mlayout.CTR_SECTOR_COVERAGE_BLOCKS
@@ -212,16 +158,17 @@ class MemoryEncryptionEngine:
             type(self.counter_policy) is SplitCounterPolicy
             and type(self.mac_policy) is BlockMACPolicy
         )
-        # Direct-emission fast path (armed by the pipeline via
-        # :meth:`attach_direct`): metadata transfers occupy their DRAM
-        # channel at emission time instead of materialising
-        # DRAMRequest lists for ``MemoryPipeline.schedule``.
-        self._direct = False
+        # Emission targets (wired by :meth:`attach_channels`) and the
+        # per-access emission state: the access cycle every transfer
+        # issues at, and the latest decrypt-critical completion.
         self._channels: Optional[list] = None
         self._traffic = None
         self._cycle = 0.0
         self._ctr_done = 0.0
-        self._empty_result = MEEResult()
+        #: Dirty data lines a victim insertion displaced from the L2;
+        #: the pipeline drains them through its secure write path
+        #: after every MEE call.
+        self.displaced: List[DisplacedData] = []
 
         # Statistics.
         self.readonly_stats = PredictionStats()
@@ -314,43 +261,37 @@ class MemoryEncryptionEngine:
     # Main data path
     # ------------------------------------------------------------------------
 
-    def on_read_miss(self, cycle: float, physical: int, local_offset: int) -> MEEResult:
-        """An L2 miss fill of one data line (or sector thereof)."""
-        return self._handle(cycle, physical, local_offset, is_write=False)
+    def on_read_miss(self, cycle: float, physical: int,
+                     local_offset: int) -> float:
+        """An L2 miss fill of one data line (or sector thereof).
 
-    def on_writeback(self, cycle: float, physical: int, local_offset: int) -> MEEResult:
+        Metadata transfers occupy their channels as they are emitted;
+        returns the decrypt-critical counter-fetch completion cycle
+        (0.0 when the counter was on chip)."""
+        self._handle(cycle, physical, local_offset, is_write=False)
+        return self._ctr_done
+
+    def on_writeback(self, cycle: float, physical: int,
+                     local_offset: int) -> None:
         """A dirty L2 line written back to DRAM."""
-        return self._handle(cycle, physical, local_offset, is_write=True)
+        self._handle(cycle, physical, local_offset, is_write=True)
 
-    def attach_direct(self, channels: list, traffic) -> None:
-        """Arm the direct-emission fast path (pipeline wiring).
+    # Historical names of the two entry points; perfbench patches
+    # them by name, so they must keep resolving.
+    on_read_miss_direct = on_read_miss
+    on_writeback_direct = on_writeback
 
-        With no observer, no host profiler and no L2 victim cache in
-        play, every metadata transfer can occupy its DRAM channel the
-        moment a policy emits it — same order, cycle and occupy/service
-        arithmetic as :meth:`MemoryPipeline.schedule` consuming the
-        equivalent :class:`DRAMRequest` list, so the simulated timing
-        and traffic accounting are bit-identical; only the intermediate
-        request objects and the scheduler loop disappear.  Callers must
-        then use :meth:`on_read_miss_direct` / :meth:`on_writeback_direct`
-        whenever ``_direct`` armed.
-        """
+    def attach_channels(self, channels: list, traffic) -> None:
+        """Wire the DRAM channels and the traffic counters every
+        metadata transfer is booked on (pipeline wiring)."""
         self._channels = channels
         self._traffic = traffic
-        self._direct = self._fast_meta and not self.scheme.l2_victim_cache
-
-    def detach_direct(self) -> None:
-        """Disarm direct emission (hooks attached after construction):
-        fall back to materialised :class:`MetaTransfer` /
-        :class:`DRAMRequest` streams so every consumer sees them."""
-        self._direct = False
 
     def attach_ledger(self, ledger) -> None:
         """Attach (or detach, with the NULL ledger) a decision ledger
-        after construction.  Unlike :meth:`detach_direct`, this leaves
-        ``_observe`` / ``_fast_meta`` / ``_direct`` untouched: the
-        ledger taps fire at decision granularity and are legal on the
-        fused fast paths of both cores."""
+        after construction.  This leaves ``_observe`` / ``_fast_meta``
+        untouched: the ledger taps fire at decision granularity and
+        are legal on the fused fast paths."""
         self.led = ledger if ledger is not None else NULL_LEDGER
         self._led = self.led.enabled
         self._led_track = False
@@ -370,31 +311,12 @@ class MemoryEncryptionEngine:
         self._led_track = False
         return self._led_bytes, self._led_transfers
 
-    def on_read_miss_direct(self, cycle: float, physical: int,
-                            local_offset: int) -> float:
-        """Direct-mode read miss: metadata transfers go straight to
-        the channels; returns the decrypt-critical counter-fetch
-        completion cycle (0.0 when the counter was on chip)."""
+    def _handle(self, cycle: float, physical: int, local_offset: int,
+                is_write: bool) -> None:
         self._cycle = cycle
         self._ctr_done = 0.0
-        self._handle(cycle, physical, local_offset, is_write=False)
-        return self._ctr_done
-
-    def on_writeback_direct(self, cycle: float, physical: int,
-                            local_offset: int) -> None:
-        """Direct-mode write back (no critical transfer to report, and
-        — victim cache off — nothing is ever displaced)."""
-        self._cycle = cycle
-        self._ctr_done = 0.0
-        self._handle(cycle, physical, local_offset, is_write=True)
-
-    def _handle(self, cycle: float, physical: int, local_offset: int, is_write: bool) -> MEEResult:
-        # Direct mode emits past the result object (see _emit), so the
-        # shared empty singleton serves every access without per-call
-        # allocation; its lists are never mutated.
-        result = self._empty_result if self._direct else MEEResult()
         if not self._is_secure:
-            return result
+            return
         self._access_seq += 1
         if self._observe:
             self.caches.now = cycle
@@ -411,37 +333,34 @@ class MemoryEncryptionEngine:
                     line = mlayout.counter_line(block_id)
                     if self._led:
                         self._led_begin()
-                        self._reencrypt_line(result, line)
+                        self._reencrypt_line(line)
                         self.led.ctr_overflow(
                             cycle, self.partition_id, self.kernel_idx,
                             block_id, line, *self._led_end())
                     else:
-                        self._reencrypt_line(result, line)
-                self._ctr_access(result, block_id, is_write=True,
-                                 fetch=True)
+                        self._reencrypt_line(line)
+                self._ctr_access(block_id, is_write=True, fetch=True)
             else:
-                self._ctr_access(result, block_id, is_write=False,
-                                 fetch=True)
-            self._blk_mac_access(result, block_id, is_write=is_write)
-            return result
+                self._ctr_access(block_id, is_write=False, fetch=True)
+            self._blk_mac_access(block_id, is_write=is_write)
+            return
         region_id = local_offset // self._ro_region_size
         chunk_id = local_offset // self._chunk_size
         block_offset = (local_offset % self._chunk_size) // bs
 
         read_only = self._counter_access(
-            result, cycle, block_id, region_id, is_write
+            cycle, block_id, region_id, is_write
         )
         self._mac_access(
-            result, cycle, block_id, chunk_id, block_offset, region_id,
+            cycle, block_id, chunk_id, block_offset, region_id,
             read_only, is_write,
         )
-        return result
 
     # ------------------------------------------------------------------------
     # Counter + BMT helpers (called by the counter policies)
     # ------------------------------------------------------------------------
 
-    def _ctr_access(self, result: MEEResult, block_id: int, is_write: bool, fetch: bool) -> None:
+    def _ctr_access(self, block_id: int, is_write: bool, fetch: bool) -> None:
         sector_id = block_id // self._ctr_cov
         line_key = sector_id // self._spb
         sector = sector_id % self._spb
@@ -462,7 +381,7 @@ class MemoryEncryptionEngine:
                     del lines[line_key]
                     lines[line_key] = line
                 return
-            if self._direct:
+            if self._fuse_miss:
                 self._meta_miss(cache, KIND_CTR, line_key, sector,
                                 is_write, fetch)
                 if fetch:
@@ -470,7 +389,7 @@ class MemoryEncryptionEngine:
                     t, d = self.bmt.walk(
                         self.caches, leaf, is_write=is_write,
                         sectors_on_miss=self._meta_sectors_on_miss)
-                    self._emit(result, t, d)
+                    self._emit(t, d)
                 return
         transfers, displaced, hit = self.caches.access(
             KIND_CTR, line_key, sector, is_write=is_write,
@@ -478,7 +397,7 @@ class MemoryEncryptionEngine:
         )
         # Only a *read's* counter fetch blocks decryption; the write
         # path's read-modify-write fetch is off the critical path.
-        self._emit(result, transfers, displaced,
+        self._emit(transfers, displaced,
                    critical_kind=None if is_write else KIND_CTR)
         if not hit and fetch:
             # Counter came from memory: its BMT path must be verified
@@ -486,9 +405,9 @@ class MemoryEncryptionEngine:
             leaf = mlayout.bmt_leaf(block_id)
             t, d = self.bmt.walk(self.caches, leaf, is_write=is_write,
                                  sectors_on_miss=self._meta_sectors_on_miss)
-            self._emit(result, t, d)
+            self._emit(t, d)
 
-    def _propagate_shared_counter(self, result: MEEResult, region_id: int) -> None:
+    def _propagate_shared_counter(self, region_id: int) -> None:
         """Fig. 8: a write to a read-only region copies the shared
         counter into the region's major counters (in the counter cache,
         no fetch needed — the values are generated on chip) and folds
@@ -505,22 +424,22 @@ class MemoryEncryptionEngine:
                 transfers, displaced, _ = self.caches.access(
                     KIND_CTR, line_key, sector, is_write=True, fetch_on_miss=False,
                 )
-                self._emit(result, transfers, displaced)
+                self._emit(transfers, displaced)
             t, d = self.bmt.walk(self.caches, line_key, is_write=True,
                                  sectors_on_miss=self._meta_sectors_on_miss)
-            self._emit(result, t, d)
+            self._emit(t, d)
 
-    def _reencrypt_line(self, result: MEEResult, ctr_line: int) -> None:
+    def _reencrypt_line(self, ctr_line: int) -> None:
         """Minor-counter overflow: re-encrypt the line's whole coverage
         (read + write every covered data block)."""
         size = mlayout.CTR_LINE_COVERAGE_BLOCKS * constants.BLOCK_SIZE
-        self._emit_bulk(result, size, False, "ctr")
-        self._emit_bulk(result, size, True, "ctr")
+        self._emit_bulk(size, False, "ctr")
+        self._emit_bulk(size, True, "ctr")
 
     # -- MAC cache helpers (called by the MAC policies) --------------------------
 
     def _blk_mac_access(
-        self, result: MEEResult, block_id: int, is_write: bool,
+        self, block_id: int, is_write: bool,
         as_mispred: bool = False,
     ) -> None:
         sector_id = block_id // self._mac_sector_coverage
@@ -528,7 +447,7 @@ class MemoryEncryptionEngine:
         sector = sector_id % self._spb
         if self._fast_meta and self._mac_hit(line_key, sector, is_write):
             return
-        if self._direct and not as_mispred:
+        if self._fuse_miss and not as_mispred:
             # MAC updates never read the old MAC (the new value is
             # computed from the data): write-allocate without fetch.
             self._meta_miss(self._mac_cache, KIND_MAC, line_key, sector,
@@ -541,11 +460,11 @@ class MemoryEncryptionEngine:
             fetch_on_miss=not is_write,
             sectors_on_miss=self._meta_sectors_on_miss,
         )
-        self._emit(result, transfers, displaced,
+        self._emit(transfers, displaced,
                    mispred="mispred" if as_mispred else None)
 
     def _chunk_mac_access(
-        self, result: MEEResult, chunk_id: int, is_write: bool,
+        self, chunk_id: int, is_write: bool,
         as_mispred: bool = False,
     ) -> None:
         sector_id = chunk_id // self._mac_sector_coverage
@@ -553,7 +472,7 @@ class MemoryEncryptionEngine:
         sector = sector_id % self._spb
         if self._fast_meta and self._mac_hit(line_key, sector, is_write):
             return
-        if self._direct and not as_mispred:
+        if self._fuse_miss and not as_mispred:
             self._meta_miss(self._mac_cache, KIND_MAC, line_key, sector,
                             is_write, not is_write)
             return
@@ -562,12 +481,12 @@ class MemoryEncryptionEngine:
             fetch_on_miss=not is_write,
             sectors_on_miss=self._meta_sectors_on_miss,
         )
-        self._emit(result, transfers, displaced,
+        self._emit(transfers, displaced,
                    mispred="mispred" if as_mispred else None)
 
     def _meta_miss(self, cache, kind: str, line_key: int, sector: int,
                    is_write: bool, fetch: bool) -> None:
-        """Direct-mode MDC miss, fused: :meth:`SectoredCache.access`'s
+        """Unobserved MDC miss, fused: :meth:`SectoredCache.access`'s
         miss branch, the whole-line fill and the fetch/eviction
         transfers collapse into one pass that occupies the channels
         immediately — statistics, masks, LRU motion, transfer order
@@ -625,7 +544,7 @@ class MemoryEncryptionEngine:
     def _occupy_meta(self, kind: str, line_key: int, size: int,
                      is_write: bool, critical: bool) -> None:
         """Route one fused metadata transfer to its DRAM channel (the
-        single-transfer core of :meth:`_emit_direct`)."""
+        single-transfer core of :meth:`_emit`)."""
         if self._led_track:
             self._led_bytes += size
             self._led_transfers += 1
@@ -643,8 +562,8 @@ class MemoryEncryptionEngine:
                      else self.mapper.partition_of(addr))
         channel = self._channels[partition]
         if channel.fifo_fast:
-            # DRAMChannel.occupy, inlined (direct mode implies the
-            # observer is detached, so no event can be owed).
+            # DRAMChannel.occupy, inlined (the fused path runs only
+            # unobserved, so no dram event can be owed).
             cycle = self._cycle
             start = channel._next_free
             if cycle > start:
@@ -689,72 +608,30 @@ class MemoryEncryptionEngine:
         return True
 
     # ------------------------------------------------------------------------
-    # Plumbing
+    # Emission: every metadata transfer occupies its channel when emitted
     # ------------------------------------------------------------------------
 
     def _emit(
         self,
-        result: MEEResult,
         transfers: "Sequence[MetaTransfer]",
         displaced: "Sequence[DisplacedData]",
         critical_kind: Optional[str] = None,
         mispred: Optional[str] = None,
-    ) -> None:
-        if not transfers and not displaced:
-            return
-        if self._direct:
-            # Victim cache off in direct mode: nothing is displaced.
-            if transfers:
-                self._emit_direct(transfers, critical_kind, mispred)
-            return
-        track = self._led_track
-        for t in transfers:
-            kind = mispred or t.kind
-            critical = (
-                critical_kind is not None
-                and t.kind == critical_kind
-                and not t.is_write
-            )
-            if track:
-                self._led_bytes += t.size
-                self._led_transfers += 1
-            partition, address = self._route(t)
-            result.requests.append(
-                DRAMRequest(partition, t.size, t.is_write, kind, critical,
-                            address=address)
-            )
-        result.displaced_data.extend(displaced)
+    ) -> float:
+        """Place MDC-generated transfers on their DRAM channels at the
+        current access cycle, in emission order, and queue displaced
+        dirty data lines on :attr:`displaced`.
 
-    def _emit_bulk(self, result: MEEResult, size: int, is_write: bool,
-                   kind: str) -> None:
-        """Append one address-less bulk transfer on this partition's
-        channel (re-encryptions, misprediction data re-fetches)."""
-        if self._led_track:
-            self._led_bytes += size
-            self._led_transfers += 1
-        if self._direct:
-            channel = self._channels[self.partition_id]
-            if channel.fifo_fast:
-                channel.occupy(self._cycle, size, is_write)
-            else:
-                channel.service(self._cycle, size, is_write, address=-1,
-                                kind=kind, critical=False)
-            self._book_traffic(kind, size)
-            return
-        result.requests.append(
-            DRAMRequest(self.partition_id, size, is_write, kind)
-        )
-
-    def _emit_direct(
-        self,
-        transfers: "Sequence[MetaTransfer]",
-        critical_kind: Optional[str],
-        mispred: Optional[str],
-    ) -> None:
-        """Direct mode: occupy each transfer's channel now — the same
-        order, cycle and per-request arithmetic as
-        :meth:`MemoryPipeline.schedule` consuming the equivalent
-        request list, folded into one pass."""
+        Local metadata lives in its own partition's share; physically
+        addressed metadata lives wherever its carve-out address maps.
+        The address also feeds address-aware DRAM schedulers.  Returns
+        the latest completion cycle (0.0 when nothing moved).
+        """
+        if displaced:
+            self.displaced.extend(displaced)
+        last = 0.0
+        if not transfers:
+            return last
         cycle = self._cycle
         channels = self._channels
         traffic = self._traffic
@@ -763,6 +640,10 @@ class MemoryEncryptionEngine:
         pid = self.partition_id
         ctr_done = self._ctr_done
         track = self._led_track
+        observe = self._observe
+        profile = self._profile
+        if profile:
+            prof = self.profiler
         for t in transfers:
             tkind = t.kind
             if track:
@@ -780,12 +661,16 @@ class MemoryEncryptionEngine:
             critical = (critical_kind is not None and tkind == critical_kind
                         and not is_write)
             kind = mispred or tkind
+            if profile:
+                t_svc = prof.now()
             channel = channels[partition]
             if channel.fifo_fast:
                 done = channel.occupy(cycle, size, is_write)
             else:
                 done = channel.service(cycle, size, is_write, address=addr,
                                        kind=kind, critical=critical)
+            if profile:
+                prof.add_component("sched_meta", prof.now() - t_svc)
             if kind == "ctr":
                 traffic.counter_bytes += size
             elif kind == "mac":
@@ -794,15 +679,45 @@ class MemoryEncryptionEngine:
                 traffic.bmt_bytes += size
             else:
                 self._book_traffic(kind, size)
+            if observe:
+                self.obs.traffic(cycle, partition, kind, size, is_write)
+                self.obs.mee_op(partition, kind, is_write, cycle, done,
+                                critical=critical)
             if critical and done > ctr_done:
                 ctr_done = done
+            if done > last:
+                last = done
         self._ctr_done = ctr_done
+        return last
+
+    def _emit_bulk(self, size: int, is_write: bool, kind: str) -> None:
+        """One address-less bulk transfer on this partition's channel
+        (re-encryptions, misprediction data re-fetches)."""
+        if self._led_track:
+            self._led_bytes += size
+            self._led_transfers += 1
+        if self._profile:
+            prof = self.profiler
+            t_svc = prof.now()
+        pid = self.partition_id
+        channel = self._channels[pid]
+        if channel.fifo_fast:
+            done = channel.occupy(self._cycle, size, is_write)
+        else:
+            done = channel.service(self._cycle, size, is_write, address=-1,
+                                   kind=kind, critical=False)
+        if self._profile:
+            prof.add_component("sched_meta", prof.now() - t_svc)
+        self._book_traffic(kind, size)
+        if self._observe:
+            self.obs.traffic(self._cycle, pid, kind, size, is_write)
+            self.obs.mee_op(pid, kind, is_write, self._cycle, done)
 
     def _book_traffic(self, kind: str, size: int) -> None:
-        """Traffic-counter dispatch for the uncommon kinds (the direct
-        emitters inline ctr/mac/bmt; this mirrors
-        ``MemoryPipeline.schedule``'s dispatch, registry fallback
-        included)."""
+        """Traffic-counter dispatch for the uncommon kinds (the
+        emitters inline ctr/mac/bmt); any kind beyond the built-ins
+        must be registered (an unknown kind used to be silently booked
+        as demand data, which corrupted every overhead ratio)."""
         traffic = self._traffic
         if kind == "ctr":
             traffic.counter_bytes += size
@@ -825,76 +740,12 @@ class MemoryEncryptionEngine:
             setattr(traffic, counter_attr,
                     getattr(traffic, counter_attr) + size)
 
-    def _route(self, transfer: MetaTransfer) -> tuple:
-        """Which DRAM channel carries this metadata transfer, and at
-        which carve-out address?
-
-        Local metadata lives in its own partition's share; physically
-        addressed metadata lives wherever the carve-out address maps.
-        The address feeds address-aware DRAM schedulers either way.
-        """
-        if transfer.kind == KIND_CTR:
-            addr = self.layout.counter_address(transfer.line_key)
-        elif transfer.kind == KIND_MAC:
-            addr = self.layout.mac_address(transfer.line_key)
-        else:
-            addr = self.layout.bmt_address(transfer.line_key)
-        if self.scheme.local_metadata:
-            return self.partition_id, addr
-        return self.mapper.partition_of(addr), addr
-
-    def _meta_partition(self, addr: int) -> int:
-        if self.scheme.local_metadata:
-            return self.partition_id
-        return self.mapper.partition_of(addr)
-
-    def flush(self) -> List[DRAMRequest]:
-        """Context teardown: push all dirty metadata to DRAM."""
-        requests = []
-        for t in self.caches.flush():
-            partition, address = self._route(t)
-            requests.append(
-                DRAMRequest(partition, t.size, True, t.kind, address=address)
-            )
-        return requests
-
-    def flush_direct(self, cycle: float) -> float:
-        """Direct-mode context teardown: dirty metadata drains straight
-        to the channels — same kind/line order, occupy arithmetic and
-        traffic accounting as :meth:`flush` fed through
-        :meth:`MemoryPipeline.schedule`.  Returns the last completion
-        cycle (0.0 when nothing was dirty)."""
-        last = 0.0
-        channels = self._channels
-        traffic = self._traffic
-        layout = self.layout
-        local = self._local_metadata
-        pid = self.partition_id
-        sector_size = constants.SECTOR_SIZE
-        for kind, cache in ((KIND_CTR, self.caches.counter),
-                            (KIND_MAC, self.caches.mac),
-                            (KIND_BMT, self.caches.bmt)):
-            for ev in cache.flush():
-                size = ev.dirty_sectors * sector_size
-                if kind is KIND_CTR:
-                    addr = layout.counter_address(ev.key)
-                    traffic.counter_bytes += size
-                elif kind is KIND_MAC:
-                    addr = layout.mac_address(ev.key)
-                    traffic.mac_bytes += size
-                else:
-                    addr = layout.bmt_address(ev.key)
-                    traffic.bmt_bytes += size
-                partition = pid if local else self.mapper.partition_of(addr)
-                channel = channels[partition]
-                if channel.fifo_fast:
-                    done = channel.occupy(cycle, size, True)
-                else:
-                    done = channel.service(cycle, size, True, address=addr,
-                                           kind=kind, critical=False)
-                if done > last:
-                    last = done
-        return last
+    def flush(self, cycle: float) -> float:
+        """Context teardown: all dirty metadata drains to DRAM at
+        ``cycle``.  Returns the last completion cycle (0.0 when
+        nothing was dirty)."""
+        self._cycle = cycle
+        return self._emit(self.caches.flush(), ())
 
     # ------------------------------------------------------------------------
     # Prediction-accuracy accounting (Figs. 10 and 11)

@@ -143,8 +143,7 @@ class JobSpec:
     collect_metrics: bool = False
     #: Attach a :class:`repro.obs.decisions.DecisionLedger` for the
     #: cell's run and ship its :meth:`~DecisionLedger.summary` back in
-    #: the payload.  Unlike ``collect_metrics`` this does not force the
-    #: legacy core.  Execution detail — excluded from :func:`cell_key`.
+    #: the payload.  Execution detail — excluded from :func:`cell_key`.
     collect_decisions: bool = False
     #: The cell's calibration, attached by the campaign only to the
     #: copy it submits to the pool: the worker seeds its runner with it
@@ -519,8 +518,8 @@ def run_campaign(
     ``kind="run"`` cell; the ledger summary rides home in the payload,
     lands in the manifest (and the telemetry store), and is emitted as
     one ``cell_decisions`` event per executed cell when ``events`` is
-    attached.  Decision taps fire at decision granularity, so this does
-    *not* push cells onto the legacy per-access core.
+    attached.  Decision taps fire at decision granularity, so the
+    cells keep the MEE's fused fast paths.
 
     ``events`` (an :class:`repro.obs.events.EventLog`) records the
     campaign's structured telemetry — cell lifecycle, retries,

@@ -13,7 +13,7 @@ plus the analytic stall-cycle equivalent of that traffic.
 Decisions fire at decision granularity — thousands of events per run,
 not millions of accesses — so, unlike the per-access
 :class:`~repro.obs.observer.Observer`, an attached ledger does **not**
-force the simulator onto the legacy per-access core.  Instrumented
+switch off the MEE's fused fast paths.  Instrumented
 code snapshots ``ledger.enabled`` into a local boolean (``mee._led``)
 and pays one branch per decision site; :data:`NULL_LEDGER` is the
 disabled default, mirroring ``NULL_OBSERVER``.
@@ -36,7 +36,7 @@ learned-policy work consumes it as training input:
   covering gaps in ``[4^i, 4^(i+1))`` cycles (``g7`` open-ended).
 
 Determinism: rows are appended in issue order (cycles are globally
-non-decreasing in both cores), all arithmetic is plain int/float, and
+non-decreasing), all arithmetic is plain int/float, and
 :meth:`DecisionLedger.write_jsonl` serialises with sorted keys — the
 canonical export is byte-identical across cores, serial vs pool, and
 under any ``PYTHONHASHSEED`` (pinned by the determinism suite).
@@ -188,8 +188,8 @@ class DecisionLedger:
 
     Attach one to a :class:`~repro.sim.runner.Runner` (or pass it to
     :class:`~repro.sim.gpu.GPUSimulator`); the MEEs snapshot it at
-    construction and call the ``record_*`` methods at decision sites
-    on **both** execution cores.  Costs arrive pre-measured from the
+    construction and call the ``record_*`` methods at decision sites.
+    Costs arrive pre-measured from the
     MEE's emission scope (:meth:`~repro.core.mee.MemoryEncryptionEngine`
     ``_led_begin``/``_led_end``); the ledger converts them to stall
     cycles analytically: ``transfers * request_overhead +

@@ -88,7 +88,7 @@ class LogHistogram:
     def record_many(self, values) -> None:
         """Bulk :meth:`record`: same buckets, same running totals (the
         float sum visits the values in order), one call for a whole
-        batch — the event core's per-kernel latency recording."""
+        batch — the batch loop's per-kernel latency recording."""
         counts = self.counts
         total = self.total
         min_value = self.min_value

@@ -2,7 +2,8 @@
 
 Micro benchmarks time the simulator's hot primitives in isolation —
 histogram recording, MDC lookups, each scheme's policy stack through a
-bare :class:`~repro.core.mee.MemoryEncryptionEngine`, and each
+:class:`~repro.core.mee.MemoryEncryptionEngine` emitting onto FIFO
+channels (the shipped emission path), and each
 registered DRAM scheduler through a bare
 :class:`~repro.memory.dram.DRAMChannel`.  Macro benchmarks are short
 full simulator runs (calibration excluded: it happens once in setup)
@@ -103,13 +104,21 @@ def _setup_policy(scheme: str, **overrides: Any) -> Callable[[], Tuple[Callable[
         from repro.common import constants
         from repro.common.address import AddressMapper
         from repro.common.config import SimConfig
+        from repro.common.types import TrafficCounters
         from repro.core.mee import MemoryEncryptionEngine
+        from repro.memory.dram import DRAMChannel
         from repro.metadata.counters import SharedCounter
 
         config = SimConfig().with_scheme(scheme, **overrides)
         gpu = config.gpu
         mapper = AddressMapper(gpu.num_partitions, gpu.interleave_bytes)
         mee = MemoryEncryptionEngine(0, config, mapper, SharedCounter())
+        mee.attach_channels(
+            [DRAMChannel(gpu.dram_bytes_per_cycle, gpu.dram_latency,
+                         gpu.dram_request_overhead, gpu.dram_turnaround,
+                         partition=p)
+             for p in range(gpu.num_partitions)],
+            TrafficCounters())
         # A partition-0 address stream mixing reads with write-backs.
         accesses: List[Tuple[int, int, bool]] = []
         addr = 0
@@ -165,18 +174,11 @@ def _setup_sched(name: str) -> Callable[[], Tuple[Callable[[], Any], int]]:
     return setup
 
 
-def _setup_macro(workload: str, scheme: str,
-                 core: Optional[str] = None) -> Callable[[], Tuple[Callable[[], Any], int]]:
+def _setup_macro(workload: str, scheme: str) -> Callable[[], Tuple[Callable[[], Any], int]]:
     def setup() -> Tuple[Callable[[], Any], int]:
-        from dataclasses import replace
-
-        from repro.common.config import SimConfig
         from repro.sim.runner import Runner
 
-        config = SimConfig()
-        if core is not None:
-            config = replace(config, core=core)
-        runner = Runner(config=config, scale=MACRO_SCALE)
+        runner = Runner(scale=MACRO_SCALE)
         runner.calibration(workload)  # excluded from the timed region
 
         def op() -> None:
@@ -193,12 +195,10 @@ def _setup_macro(workload: str, scheme: str,
 # ----------------------------------------------------------------------
 
 def build_cases(smoke: bool = False,
-                pattern: Optional[str] = None,
-                core: Optional[str] = None) -> List[BenchCase]:
+                pattern: Optional[str] = None) -> List[BenchCase]:
     """The pinned benchmark list; ``smoke`` keeps the full micro
     matrix but only one macro cell, ``pattern`` is a substring filter
-    on benchmark names, ``core`` pins the macro cells' execution core
-    (default: the process default — ``REPRO_CORE`` or ``event``)."""
+    on benchmark names."""
     from repro.memory.sched import available_schedulers
 
     cases = [
@@ -222,7 +222,7 @@ def build_cases(smoke: bool = False,
     for workload, scheme in macro_grid:
         cases.append(BenchCase(f"macro.{workload}.{scheme}", "macro",
                                "ms/run",
-                               _setup_macro(workload, scheme, core=core),
+                               _setup_macro(workload, scheme),
                                1e3))
 
     if pattern:
@@ -291,22 +291,14 @@ def run_bench(
     repeats: Optional[int] = None,
     warmup: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    core: Optional[str] = None,
 ) -> dict:
     """Run the matrix and return the ``bench_format`` document."""
-    from repro.common.config import VALID_CORES, _default_core
-
-    if core is None:
-        core = _default_core()
-    if core not in VALID_CORES:
-        raise ValueError(
-            f"unknown core {core!r}; expected one of {VALID_CORES}")
     if repeats is None:
         repeats = 3 if smoke else 5
     if warmup is None:
         warmup = 1 if smoke else 2
     rounds = 1 if smoke else 3
-    cases = build_cases(smoke=smoke, pattern=pattern, core=core)
+    cases = build_cases(smoke=smoke, pattern=pattern)
     if not cases:
         raise ValueError(f"no benchmarks match filter {pattern!r}")
     benchmarks = {}
@@ -323,7 +315,6 @@ def run_bench(
             "warmup": warmup,
             "rounds": rounds,
             "macro_scale": MACRO_SCALE,
-            "core": core,
         },
         "benchmarks": benchmarks,
     }

@@ -186,7 +186,7 @@ class HostProfiler:
         mdc = run.components.get("metadata_caches", 0.0)
         sched_meta = run.components.get("sched_meta", 0.0)
         sched_data = run.components.get("sched_data", 0.0)
-        # The event core's batched address translation is measured as
+        # The batch loop's address translation is measured as
         # its own sub-interval nested inside the ISSUED stage; what
         # remains of that stage is frontend bookkeeping proper.
         translate = run.components.get("translate", 0.0)

@@ -68,6 +68,8 @@ def validate_bench(doc: dict) -> dict:
         if not isinstance(value, expected_types) \
                 or isinstance(value, bool) != (expected_types is bool):
             _fail(f"config.{key}", f"bad value {value!r}")
+    # Older documents (the committed BENCH_*.json) record the
+    # execution core the run used; current runs have only one.
     core = config.get("core")
     if core is not None and not isinstance(core, str):
         _fail("config.core", f"bad value {core!r}")

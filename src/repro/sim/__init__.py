@@ -1,7 +1,7 @@
-"""Simulation engine: frontend, GPU model, profiling, runner, stats."""
+"""Simulation engine: GPU model, request pipeline, profiling, runner,
+stats."""
 
 from repro.sim.checker import FunctionalReplay
-from repro.sim.frontend import Frontend
 from repro.sim.gpu import GPUSimulator, L2_HIT_LATENCY
 from repro.sim.parallel import JobOutcome, execute_jobs
 from repro.sim.profiling import TraceProfile
@@ -10,7 +10,6 @@ from repro.sim.stats import L2Stats, RunResult, geomean, mean
 
 __all__ = [
     "FunctionalReplay",
-    "Frontend",
     "GPUSimulator",
     "L2_HIT_LATENCY",
     "JobOutcome",

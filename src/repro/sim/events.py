@@ -1,22 +1,21 @@
-"""The event queue of the batched execution core.
+"""The event queue of the batched execution loop.
 
 The simulator's timing model is *analytic*: every component answers
 "when does this finish?" with arithmetic, so there is no cycle loop to
-tick.  The only genuinely sequential state is the frontend's bounded
-window of outstanding completions — and that window is exactly a
-min-heap of completion times, i.e. an event queue.  When the window is
-full, the clock jumps directly to the next completion event
+tick.  The only genuinely sequential state is the SM frontend's
+bounded window of outstanding completions — and that window is
+exactly a min-heap of completion times, i.e. an event queue.  When the
+window is full, the clock jumps directly to the next completion event
 (``heappop``) instead of ever visiting the idle cycles in between;
-that is the event-driven "idle-cycle skipping" of this core.
+that is the event-driven "idle-cycle skipping" of the simulator.
 
 :class:`CompletionWindow` holds that queue with **public** slots so the
 fused batch loop in :meth:`repro.sim.pipeline.MemoryPipeline.run_batch`
 can hoist them into locals, run a whole kernel batch, and write the
 state back.  Its method forms (:meth:`issue` / :meth:`complete` /
-:meth:`drain`) are bit-identical to the legacy
-:class:`repro.sim.frontend.Frontend` — same float operations in the
-same order — which is what keeps the golden oracle byte-stable across
-cores (``tests/sim/test_events.py`` pins the equivalence).
+:meth:`drain`) are the reference semantics of that inlined arithmetic
+— same float operations in the same order — and
+``tests/sim/test_events.py`` pins ``run_batch`` against them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import List
 class CompletionWindow:
     """Bounded window of outstanding completions (the event queue).
 
-    Invariants shared with the legacy frontend:
+    Invariants:
 
     * access ``i`` may not issue before its program-order slot
       ``i * gap`` (the compute-rate floor);

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.address import AddressMapper
-from repro.common.config import CORE_EVENT, VALID_CORES, SimConfig
+from repro.common.config import SimConfig
 from repro.common.types import PredictionStats
 from repro.core.mee import MemoryEncryptionEngine, TruthProvider
 from repro.core.victim import VictimController
@@ -33,8 +33,7 @@ from repro.obs.decisions import NULL_LEDGER
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.perf.hostprof import NULL_PROFILER, HostProfiler
 from repro.sim.events import CompletionWindow
-from repro.sim.frontend import Frontend, iter_batches
-from repro.sim.pipeline import L2_HIT_LATENCY, MemoryPipeline, ObserverHooks
+from repro.sim.pipeline import L2_HIT_LATENCY, MemoryPipeline
 from repro.sim.stats import LatencyStats, RunResult
 from repro.workloads.base import HostEvent, Workload
 
@@ -59,8 +58,7 @@ class GPUSimulator:
         self._observe = self.obs.enabled
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self._profile = self.profiler.enabled
-        # Decision ledger (decision-granularity provenance): unlike an
-        # observer it does NOT force the legacy core — see run().
+        # Decision ledger (decision-granularity provenance).
         self.ledger = ledger if ledger is not None else NULL_LEDGER
         gpu = config.gpu
         if self.ledger.enabled:
@@ -99,10 +97,10 @@ class GPUSimulator:
                     self.victims.append(victim)
                 self.mees.append(mee)
 
-        hooks = ObserverHooks(self.obs) if self._observe else None
         self.pipeline = MemoryPipeline(
             config, self.mapper, self.channels, self.l2, self.mees,
-            hooks=hooks, record_stream=record_stream, profiler=profiler,
+            observer=self.obs, record_stream=record_stream,
+            profiler=profiler,
         )
         self._latency = LatencyStats()
 
@@ -129,80 +127,19 @@ class GPUSimulator:
         and is usually left at its near-zero default — the paper's
         suite is memory bound.
 
-        Dispatches on ``SimConfig.core``: the event core runs kernels
-        as batches through :meth:`MemoryPipeline.run_batch` (bit-
-        identical results, several times faster); the legacy per-
-        access loop remains for ``core="legacy"`` and for observed
-        runs, whose hook/event stream is defined access by access.
-        A decision ledger does *not* force the fallback — its taps
-        fire at decision granularity on both cores.
+        Each kernel is one batch: host events and detector/victim
+        updates happen between kernels, and within a kernel the access
+        stream runs through :meth:`MemoryPipeline.run_batch`, whose
+        completion window skips idle cycles by jumping to the next
+        completion event.
         """
-        core = self.config.core
-        if core not in VALID_CORES:
-            raise ValueError(
-                f"unknown execution core {core!r}; expected one of "
-                f"{VALID_CORES} (check SimConfig.core / REPRO_CORE)"
-            )
-        window = max_inflight or self.config.gpu.max_inflight_requests
-        if core == CORE_EVENT and not self._observe:
-            return self._run_event(workload, gap, window)
-        return self._run_legacy(workload, gap, window)
-
-    def _run_event(self, workload: Workload, gap: float,
-                   window_size: int) -> RunResult:
-        """The batched event-driven run loop: per kernel, translate +
-        classify the whole batch, then advance the completion-window
-        event queue access by access with no per-access Python call
-        layers (see :meth:`MemoryPipeline.run_batch`)."""
-        window = CompletionWindow(window_size, gap)
-        pipeline = self.pipeline
-        profile = self._profile
-        if profile:
-            prof = self.profiler
-            # .label, not .scheme.value: a custom registry scheme must
-            # not collide with its base design's run in the exports.
-            prof.begin_run(f"{workload.name}/{self.scheme.label}")
-
-        if self.mees:
-            for event in workload.init_copies():
-                self._host_copy(event, at_init=True)
-        if profile:
-            # Host-side copies walk the MEE metadata state.
-            prof.mark("metadata")
-
-        latency = self._latency
-        for kernel_idx, kernel in iter_batches(workload):
-            pipeline.kernel_idx = kernel_idx
-            self._kernel_boundary(kernel_idx, kernel.host_events,
-                                  window.last_issue)
-            if profile:
-                prof.mark("metadata")
-            pipeline.run_batch(window, kernel.accesses, latency)
-
-        end = window.drain()
-        if profile:
-            prof.mark("issued")
-        end = pipeline.final_flush(end)
-        cycles = max(
-            end,
-            max((ch.next_free + ch.latency for ch in self.channels
-                 if ch.stats.requests), default=0.0),
-        )
-        result = self._result(workload, cycles)
-        if profile:
-            prof.mark("complete")
-            prof.end_run()
-        return result
-
-    def _run_legacy(self, workload: Workload, gap: float,
-                    window_size: int) -> RunResult:
-        """The per-access run loop (``core="legacy"`` and every
-        observed run: the observer vocabulary — stall spans, per-
-        request lifecycle hooks — is defined at access granularity)."""
-        frontend = Frontend(window_size, gap)
+        window = CompletionWindow(
+            max_inflight or self.config.gpu.max_inflight_requests, gap)
         pipeline = self.pipeline
         observe = self._observe
         profile = self._profile
+        # .label, not .scheme.value: a custom registry scheme must not
+        # collide with its base design's run in the exports.
         run_label = f"{workload.name}/{self.scheme.label}"
         if observe:
             self.obs.begin_run(run_label, self.config.gpu.num_partitions)
@@ -217,40 +154,18 @@ class GPUSimulator:
             # Host-side copies walk the MEE metadata state.
             prof.mark("metadata")
 
-        prev_issue = 0.0
+        latency = self._latency
         for kernel_idx, kernel in enumerate(workload.kernels):
             pipeline.kernel_idx = kernel_idx
             self._kernel_boundary(kernel_idx, kernel.host_events,
-                                  frontend.last_issue)
+                                  window.last_issue)
             if profile:
                 prof.mark("metadata")
             if observe:
-                self.obs.kernel(kernel_idx, frontend.last_issue)
-            for addr, is_write, nsectors in kernel.accesses:
-                issue = frontend.issue()
-                if observe:
-                    if frontend.last_stall > 0.0:
-                        # Clamp to the stall's non-overlapping portion:
-                        # with a near-zero issue gap every queued access
-                        # nominally waits from cycle ~0, but only the
-                        # advance past the previous issue is new stall.
-                        start = max(issue - frontend.last_stall, prev_issue)
-                        if issue > start:
-                            self.obs.stall(start, issue)
-                    prev_issue = issue
-                if profile:
-                    prof.mark("issued")
-                completion = pipeline.access(issue, addr, is_write,
-                                             nsectors).completion
-                if not is_write:
-                    self._latency.record(completion - issue)
-                    if observe:
-                        self.obs.read_latency(issue, completion - issue)
-                frontend.complete(completion)
-                if profile:
-                    prof.mark("complete")
+                self.obs.kernel(kernel_idx, window.last_issue)
+            pipeline.run_batch(window, kernel.accesses, latency)
 
-        end = frontend.drain()
+        end = window.drain()
         if profile:
             prof.mark("issued")
         end = pipeline.final_flush(end)

@@ -1,46 +1,48 @@
 """The memory-request pipeline (the request layer).
 
-One typed :class:`MemoryRequest` walks the lifecycle the paper
-studies — issued → L2 → metadata (MEE) → DRAM → complete — through a
+Every warp memory access walks the lifecycle the paper studies —
+issued → L2 → metadata (MEE) → DRAM → complete — through one
 :class:`MemoryPipeline` that owns the L2 partitions, the per-partition
 MEEs and the DRAM channels.  :class:`~repro.sim.gpu.GPUSimulator`
-shrinks to wiring (construct the components, drive the frontend) plus
-result assembly; the float plumbing that used to be hand-rolled across
-``_access``/``_writeback``/``_schedule`` lives here, and observability
-attaches through :class:`PipelineHooks` at the lifecycle transitions
-instead of being inlined at each call site.
+shrinks to wiring (construct the components, sequence the kernels)
+plus result assembly.
+
+There is one execution path: :meth:`MemoryPipeline.run_batch` runs a
+kernel's accesses in one fused loop, and the MEE places each metadata
+transfer on its channel the moment a policy emits it.  Observed,
+profiled, ledgered and victim-cache runs take the same path; the
+observer hooks fire under a hoisted ``observe`` local.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.events import CompletionWindow
-    from repro.sim.stats import LatencyStats
+    from repro.core.mee import MemoryEncryptionEngine
 
 from repro.common import constants
 from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.common.types import TrafficCounters
-from repro.core.mee import DRAMRequest, MEEResult, MemoryEncryptionEngine
 from repro.memory.cache import Eviction
 from repro.memory.dram import DRAMChannel
 from repro.memory.l2 import SAMPLE_STRIDE, PartitionL2
+from repro.obs.observer import NULL_OBSERVER
 from repro.perf.hostprof import NULL_PROFILER, HostProfiler
-from repro.sim.stats import L2Stats
+from repro.sim.events import CompletionWindow
+from repro.sim.stats import L2Stats, LatencyStats
 
 #: Completion latency of an L2 hit (core <-> L2 round trip).
 L2_HIT_LATENCY = 90
 
 #: DRAM-request kind -> the :class:`TrafficCounters` attribute that
-#: accumulates its bytes.  :meth:`MemoryPipeline.schedule` refuses
-#: kinds that are not registered here: an unknown kind used to be
-#: silently booked as demand data, which corrupted every overhead
-#: ratio derived from the traffic breakdown.
+#: accumulates its bytes.  The MEE's emitters refuse kinds that are
+#: not registered here: an unknown kind used to be silently booked as
+#: demand data, which corrupted every overhead ratio derived from the
+#: traffic breakdown.
 TRAFFIC_KIND_COUNTERS: Dict[str, str] = {
     "data": "data_bytes",
     "ctr": "counter_bytes",
@@ -54,8 +56,8 @@ def register_traffic_kind(kind: str, counter_attr: str) -> None:
     """Register a custom DRAM-request kind.
 
     Schemes that emit new metadata kinds must map them to an existing
-    :class:`TrafficCounters` attribute before the pipeline will
-    schedule them (``schedule`` raises on unregistered kinds).
+    :class:`TrafficCounters` attribute before the MEE will emit them
+    (emission raises on unregistered kinds).
     """
     if counter_attr not in TrafficCounters.__dataclass_fields__:
         raise ValueError(
@@ -64,109 +66,18 @@ def register_traffic_kind(kind: str, counter_attr: str) -> None:
     TRAFFIC_KIND_COUNTERS[kind] = counter_attr
 
 
-class Stage(Enum):
-    """Lifecycle position of one memory request."""
-
-    ISSUED = "issued"
-    L2 = "l2"
-    METADATA = "metadata"
-    DRAM = "dram"
-    COMPLETE = "complete"
-
-
-class MemoryRequest:
-    """One warp memory access moving through the pipeline.
-
-    A ``__slots__`` class rather than a dataclass: one instance is
-    created per simulated access, so instance-dict allocation is pure
-    hot-path overhead.
-
-    Fields beyond the constructor arguments:
-
-    * ``stage`` — lifecycle position (:class:`Stage`);
-    * ``partition`` — home partition (set once the address is mapped);
-    * ``l2_miss`` — did the L2 lookup miss (any sector need a fetch)?
-    * ``completion`` — completion cycle (valid once COMPLETE);
-    * ``ctr_done`` — cycle the decrypt-critical counter fetch (if any)
-      resolved;
-    * ``fetch_sectors`` — sectors of the line that needed a DRAM fetch.
-    """
-
-    __slots__ = ("issue", "address", "is_write", "nsectors", "stage",
-                 "partition", "l2_miss", "completion", "ctr_done",
-                 "fetch_sectors")
-
-    def __init__(self, issue: float, address: int, is_write: bool,
-                 nsectors: int) -> None:
-        self.issue = issue
-        self.address = address
-        self.is_write = is_write
-        self.nsectors = nsectors
-        self.stage = Stage.ISSUED
-        self.partition = -1
-        self.l2_miss = False
-        self.completion = 0.0
-        self.ctr_done = 0.0
-        self.fetch_sectors: List[int] = _NO_SECTORS
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoryRequest(issue={self.issue}, address={self.address}, "
-            f"is_write={self.is_write}, nsectors={self.nsectors}, "
-            f"stage={self.stage}, completion={self.completion})"
-        )
-
-
-#: Shared empty fetch list for requests that never miss.  Treated as
-#: immutable — the pipeline replaces it, never appends to it.
-_NO_SECTORS: List[int] = []
-
-
-class PipelineHooks:
-    """No-op lifecycle hooks.  Subclass and attach to a pipeline to
-    observe transitions; :class:`ObserverHooks` adapts them onto the
-    :class:`repro.obs.observer.Observer` event vocabulary."""
-
-    enabled = False
-
-    def l2_checked(self, request: MemoryRequest) -> None:
-        """A read finished its L2 lookup (``request.l2_miss`` set)."""
-
-    def metadata_request(self, issue: float, dram_request: DRAMRequest,
-                         done: float) -> None:
-        """One MEE-generated transfer was placed on its channel."""
-
-    def data_transfer(self, issue: float, partition: int, size: int,
-                      is_write: bool) -> None:
-        """A demand data transfer was placed on its channel."""
-
-    def completed(self, request: MemoryRequest) -> None:
-        """The request reached COMPLETE."""
-
-
-class ObserverHooks(PipelineHooks):
-    """Adapts lifecycle transitions to the observer event stream."""
-
-    enabled = True
-
-    def __init__(self, obs) -> None:
-        self.obs = obs
-
-    def l2_checked(self, request: MemoryRequest) -> None:
-        self.obs.l2_access(request.issue, request.partition,
-                           miss=request.l2_miss)
-
-    def metadata_request(self, issue: float, dram_request: DRAMRequest,
-                         done: float) -> None:
-        self.obs.traffic(issue, dram_request.partition, dram_request.kind,
-                         dram_request.size, dram_request.is_write)
-        self.obs.mee_op(dram_request.partition, dram_request.kind,
-                        dram_request.is_write, issue, done,
-                        critical=dram_request.critical)
-
-    def data_transfer(self, issue: float, partition: int, size: int,
-                      is_write: bool) -> None:
-        self.obs.traffic(issue, partition, "data", size, is_write)
+def _displaced_evictions(mee: "MemoryEncryptionEngine",
+                         queue: Optional[deque]) -> deque:
+    """Move the MEE's victim-displaced dirty data lines onto a
+    write-back queue (created on first use)."""
+    if queue is None:
+        queue = deque()
+    for disp in mee.displaced:
+        queue.append(Eviction(key=disp.line_key,
+                              dirty_sectors=disp.dirty_sectors,
+                              valid_sectors=disp.dirty_sectors))
+    mee.displaced.clear()
+    return queue
 
 
 class MemoryPipeline:
@@ -183,8 +94,8 @@ class MemoryPipeline:
         mapper: AddressMapper,
         channels: List[DRAMChannel],
         l2: List[PartitionL2],
-        mees: List[MemoryEncryptionEngine],
-        hooks: Optional[PipelineHooks] = None,
+        mees: List["MemoryEncryptionEngine"],
+        observer=None,
         record_stream: bool = False,
         profiler: Optional[HostProfiler] = None,
     ) -> None:
@@ -193,8 +104,8 @@ class MemoryPipeline:
         self.channels = channels
         self.l2 = l2
         self.mees = mees
-        self.hooks = hooks if hooks is not None else PipelineHooks()
-        self._observe = self.hooks.enabled
+        self.obs = observer if observer is not None else NULL_OBSERVER
+        self._observe = self.obs.enabled
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self._profile = self.profiler.enabled
         self.record_stream = record_stream
@@ -206,18 +117,12 @@ class MemoryPipeline:
         self.kernel_idx = 0
         self._hash_latency = config.gpu.hash_latency
         self._victim_mode = config.scheme.l2_victim_cache
-        # Arm the MEEs' direct-emission fast path (metadata transfers
-        # occupy their channel at emission time, bypassing the
-        # DRAMRequest lists and the schedule() loop) — the MEE itself
-        # refuses to arm when an observer/profiler/victim cache needs
-        # the materialised request stream.
-        self._direct_meta = False
-        if mees:
-            for mee in mees:
-                mee.attach_direct(channels, self.traffic)
-            self._direct_meta = mees[0]._direct
-        #: Translate/classify memo of the batch core: access tuple
-        #: ``(addr, is_write, nsectors)`` -> its precomputed route (see
+        # Metadata transfers occupy their channel at emission time and
+        # book their bytes on the pipeline's counters.
+        for mee in mees:
+            mee.attach_channels(channels, self.traffic)
+        #: Translate/classify memo: access tuple ``(addr, is_write,
+        #: nsectors)`` -> its precomputed route (see
         #: :meth:`translate_batch`).  Address mapping, bank selection
         #: and sector arithmetic are pure functions of the access and
         #: the (fixed) topology, so each distinct access is resolved
@@ -229,136 +134,21 @@ class MemoryPipeline:
     # ------------------------------------------------------------------
 
     def access(self, issue: float, addr: int, is_write: bool,
-               nsectors: int) -> MemoryRequest:
-        """Run one access through the full lifecycle; the returned
-        request carries its completion cycle.
-
-        When host profiling is on, ledger marks attribute the body to
-        the L2 / METADATA / DRAM stages (write-backs self-attribute
-        through their own marks); each mark costs one local-boolean
-        branch when profiling is off.
-        """
-        profile = self._profile
-        if profile:
-            prof = self.profiler
-        if self._direct_meta and self._observe:
-            # Hooks were attached after construction: disarm direct
-            # emission so the metadata_request stream they observe is
-            # the complete materialised one.
-            for mee in self.mees:
-                mee.detach_direct()
-            self._direct_meta = False
-        request = MemoryRequest(issue, addr, is_write, nsectors)
-        line_addr = addr - addr % constants.BLOCK_SIZE
-        line_key = line_addr // constants.BLOCK_SIZE
-        local = self.mapper.to_local(line_addr)
-        partition = request.partition = local.partition
-        bank = self.l2[partition].bank_for(line_key)
-        first_sector = (addr % constants.BLOCK_SIZE) // constants.SECTOR_SIZE
-        last_sector = min(first_sector + nsectors, constants.SECTORS_PER_BLOCK)
-
-        self.l2_stats.accesses += 1
-        request.stage = Stage.L2
-        if is_write:
-            # Stores allocate without fetching (full-sector writes).
-            # They occupy a frontend slot briefly (store buffer); a
-            # displaced dirty line's write-back backpressures them.
-            completion = issue + L2_HIT_LATENCY
-            if bank.cache.has_line(line_key):
-                # Resident line: no eviction is possible, so the whole
-                # sector loop collapses to one bulk mask update.
-                bank.cache.access_range(
-                    line_key, first_sector, last_sector,
-                    is_write=True, fetch_on_miss=False,
-                )
-            else:
-                # The line must be allocated; a displaced dirty line's
-                # write-back can (in victim mode) reshape this very set
-                # between sector accesses, so keep the sequential loop.
-                for sector in range(first_sector, last_sector):
-                    result = bank.cache.access(
-                        line_key, sector, is_write=True, fetch_on_miss=False
-                    )
-                    if result.eviction is not None and result.eviction.dirty_sectors:
-                        if profile:
-                            prof.mark("l2")
-                        wb_done = self.writeback(issue, result.eviction)
-                        completion = max(completion, wb_done)
-            if profile:
-                prof.mark("l2")
-            return self._complete(request, completion)
-
-        completion = issue + L2_HIT_LATENCY
-        merged_done, fetch_sectors, eviction = bank.access_data_range(
-            line_key, first_sector, last_sector, issue
-        )
-        if merged_done > completion:
-            completion = merged_done
-
-        if fetch_sectors is not None:
-            request.fetch_sectors = fetch_sectors
-            request.l2_miss = True
-        if self._observe:
-            self.hooks.l2_checked(request)
-        if profile:
-            prof.mark("l2")
-        if fetch_sectors is not None:
-            self.l2_stats.misses += 1
-            ctr_done = 0.0
-            if self.mees:
-                request.stage = Stage.METADATA
-                if self._direct_meta:
-                    ctr_done = self.mees[partition].on_read_miss_direct(
-                        issue, line_addr, local.offset
-                    )
-                else:
-                    mee_result = self.mees[partition].on_read_miss(
-                        issue, line_addr, local.offset
-                    )
-                    ctr_done, _ = self.schedule(issue, mee_result)
-                if ctr_done:
-                    # Pad generation (AES) starts when the counter
-                    # arrives; decryption cannot complete before it.
-                    ctr_done += self.config.gpu.hash_latency
-            request.ctr_done = ctr_done
-            if profile:
-                prof.mark("metadata")
-                t_svc = prof.now()
-            request.stage = Stage.DRAM
-            size = len(fetch_sectors) * constants.SECTOR_SIZE
-            data_done = self.channels[partition].service(
-                issue, size, address=line_addr
-            )
-            if profile:
-                prof.add_component("sched_data", prof.now() - t_svc)
-            self.traffic.data_bytes += size
-            if self._observe:
-                self.hooks.data_transfer(issue, partition, size, False)
-            done = max(data_done, ctr_done)
-            for sector in fetch_sectors:
-                bank.register_fill(line_key, sector, done, issue)
-            completion = max(completion, done)
-            if self.record_stream:
-                self.streams[partition].append(
-                    (local.offset, False, self.kernel_idx)
-                )
-            if profile:
-                prof.mark("dram")
-
-        if eviction is not None and eviction.dirty_sectors:
-            self.writeback(issue, eviction)
-        return self._complete(request, completion)
-
-    def _complete(self, request: MemoryRequest,
-                  completion: float) -> MemoryRequest:
-        request.stage = Stage.COMPLETE
-        request.completion = completion
-        if self._observe:
-            self.hooks.completed(request)
-        return request
+               nsectors: int) -> float:
+        """Run one access issued at exactly cycle ``issue`` through
+        :meth:`run_batch`; returns its completion cycle."""
+        if issue > 0:
+            # Program-order slot 1 of a gap-``issue`` window is the
+            # cycle itself (``1 * issue`` is exact).
+            window = CompletionWindow(1, issue)
+            window.seq = 1
+        else:
+            window = CompletionWindow(1, 1.0)
+        self.run_batch(window, [(addr, is_write, nsectors)], LatencyStats())
+        return window.last_completion
 
     # ------------------------------------------------------------------
-    # Batch core (the event-driven execution path)
+    # The fused batch loop
     # ------------------------------------------------------------------
 
     def translate_batch(self, accesses) -> list:
@@ -420,23 +210,16 @@ class MemoryPipeline:
 
     def run_batch(self, window: "CompletionWindow", accesses,
                   latency: "LatencyStats") -> None:
-        """Run one kernel batch through the full lifecycle (the event
-        core's fused loop).
+        """Run one kernel batch through the full lifecycle.
 
-        Semantically this is exactly ``for each access: window.issue()
-        -> self.access(...) -> latency.record -> window.complete()``,
-        with the window state, the L2 fast paths and the latency
-        accumulators hoisted into locals; every float operation happens
-        in the same order as the legacy per-access path, so results
-        are bit-identical (the golden oracle runs on this core).  The
-        read-miss block is inlined from :meth:`access` operation for
-        operation; store allocation drops into :meth:`_store_alloc`,
-        which mirrors it too.  Hooks are not consulted — the simulator routes observed
-        runs through the legacy core, where the per-request
-        :class:`PipelineHooks` stream is emitted unchanged.  Decision
-        ledger taps (:mod:`repro.obs.decisions`) are the exception:
-        they live inside the MEE's decision sites, fire on this fused
-        path too, and therefore never force the fallback.
+        Semantically this is ``for each access: window.issue() -> L2
+        -> MEE -> DRAM -> latency.record -> window.complete()``, with
+        the window state, the L2 fast paths and the latency
+        accumulators hoisted into locals.  Under an observer the hooks
+        fire per access in lifecycle order: the clamped ``stall`` span,
+        ``l2_access`` (reads), the MEE's ``traffic``/``mee_op`` pairs,
+        data ``traffic`` and ``read_latency``; the channels then run
+        their ``service`` path, so every ``dram`` event is emitted.
         """
         if not accesses:
             return
@@ -463,7 +246,6 @@ class MemoryPipeline:
         hit_latency = L2_HIT_LATENCY
         store_alloc = self._store_alloc
         writeback = self.writeback
-        schedule = self.schedule
         mees = self.mees
         channels = self.channels
         traffic = self.traffic
@@ -472,8 +254,11 @@ class MemoryPipeline:
         record_stream = self.record_stream
         kernel_idx = self.kernel_idx
         hash_latency = self._hash_latency
-        direct_meta = self._direct_meta
         sector_size = constants.SECTOR_SIZE
+        observe = self._observe
+        obs = self.obs
+        # The stall clamp's horizon: the previous access's issue.
+        prev_issue = window.last_issue
         latencies: List[float] = []
         record = latencies.append
         l2_stats.accesses += len(translated)
@@ -493,6 +278,18 @@ class MemoryPipeline:
                     last_stall = freed - issue
                     stall_cycles += last_stall
                     issue = freed
+            if observe:
+                if last_stall > 0.0:
+                    # Clamp to the stall's non-overlapping portion:
+                    # with a near-zero issue gap every queued access
+                    # nominally waits from cycle ~0, but only the
+                    # advance past the previous issue is new stall.
+                    start = issue - last_stall
+                    if start < prev_issue:
+                        start = prev_issue
+                    if issue > start:
+                        obs.stall(start, issue)
+                prev_issue = issue
             if profile:
                 mark("issued")
             # -- L2 ---------------------------------------------------
@@ -530,6 +327,8 @@ class MemoryPipeline:
                                     merged_done = merged
                         if merged_done > completion:
                             completion = merged_done
+                    if observe:
+                        obs.l2_access(issue, partition, False)
                     if profile:
                         mark("l2")
                 else:
@@ -537,24 +336,23 @@ class MemoryPipeline:
                         bank.access_data_range(line_key, first, last, issue)
                     if merged_done > completion:
                         completion = merged_done
+                    if observe:
+                        obs.l2_access(issue, partition,
+                                      fetch_sectors is not None)
                     if profile:
                         mark("l2")
                     if fetch_sectors is not None:
-                        # Read miss, inlined from the miss block of
-                        # :meth:`access`: MEE metadata walk, demand
-                        # DRAM fetch, MSHR fill burst.
+                        # Read miss: MEE metadata walk, demand DRAM
+                        # fetch, MSHR fill burst.
                         l2_stats.misses += 1
                         ctr_done = 0.0
                         if mees:
-                            if direct_meta:
-                                ctr_done = mees[partition].on_read_miss_direct(
-                                    issue, line_addr, local_offset
-                                )
-                            else:
-                                mee_result = mees[partition].on_read_miss(
-                                    issue, line_addr, local_offset
-                                )
-                                ctr_done, _ = schedule(issue, mee_result)
+                            mee = mees[partition]
+                            ctr_done = mee.on_read_miss(
+                                issue, line_addr, local_offset
+                            )
+                            if mee.displaced:
+                                mee.displaced.clear()
                             if ctr_done:
                                 # Pad generation (AES) starts when the
                                 # counter arrives; decryption cannot
@@ -566,8 +364,8 @@ class MemoryPipeline:
                         size = len(fetch_sectors) * sector_size
                         channel = channels[partition]
                         if channel.fifo_fast:
-                            # DRAMChannel.occupy, inlined (the event
-                            # core never runs observed, so no dram
+                            # DRAMChannel.occupy, inlined (fifo_fast
+                            # is off under an observer, so no dram
                             # event can be owed).
                             start = channel._next_free
                             if issue > start:
@@ -592,6 +390,9 @@ class MemoryPipeline:
                             prof.add_component("sched_data",
                                                prof.now() - t_svc)
                         traffic.data_bytes += size
+                        if observe:
+                            obs.traffic(issue, partition, "data", size,
+                                        False)
                         done = (data_done if data_done >= ctr_done
                                 else ctr_done)
                         mshr.allocate_burst(line_key, fetch_sectors,
@@ -607,6 +408,8 @@ class MemoryPipeline:
                     if eviction is not None and eviction.dirty_sectors:
                         writeback(issue, eviction)
                 record(completion - issue)
+                if observe:
+                    obs.read_latency(issue, completion - issue)
             # -- complete: push the completion event ------------------
             heappush(heap, completion)
             if completion > last_completion:
@@ -630,8 +433,8 @@ class MemoryPipeline:
         write-back cannot touch any L2 data set, so the whole sector
         loop collapses to one bulk allocate with at most one victim;
         in victim mode the write-back can reshape this very set
-        between sector accesses, so the sequential per-sector loop of
-        :meth:`access` is kept."""
+        between sector accesses, so the loop stays sequential per
+        sector."""
         profile = self._profile
         if profile:
             prof = self.profiler
@@ -662,10 +465,12 @@ class MemoryPipeline:
     # Write-back path
     # ------------------------------------------------------------------
 
-    def writeback(self, issue: float, eviction: Eviction) -> float:
+    def writeback(self, issue: float, eviction: Eviction,
+                  queue: Optional[deque] = None) -> float:
         """Process dirty L2 lines reaching memory (iteratively: victim
-        insertions may displace further dirty data lines).  Returns the
-        completion time of the last data write (store backpressure).
+        insertions may displace further dirty data lines, which queue
+        behind ``eviction``).  Returns the completion time of the last
+        data write (store backpressure).
 
         Self-attributing under host profiling (callers mark their own
         segment closed before calling): the data write is DRAM-stage
@@ -675,11 +480,8 @@ class MemoryPipeline:
         profile = self._profile
         if profile:
             prof = self.profiler
+        observe = self._observe
         last_done = issue
-        # The displacement queue is created lazily: the overwhelmingly
-        # common write-back displaces nothing, and this path also runs
-        # once per dirty line at teardown.
-        queue: Optional[deque] = None
         ev: Optional[Eviction] = eviction
         while ev is not None:
             key = ev.key
@@ -711,8 +513,8 @@ class MemoryPipeline:
                     last_done = done
                 self.traffic.data_bytes += size
                 self.l2_stats.writebacks += 1
-                if self._observe:
-                    self.hooks.data_transfer(issue, partition, size, True)
+                if observe:
+                    self.obs.traffic(issue, partition, "data", size, True)
                 if self.record_stream:
                     self.streams[partition].append(
                         (local_offset, True, self.kernel_idx)
@@ -720,103 +522,16 @@ class MemoryPipeline:
                 if self.mees:
                     if profile:
                         prof.mark("dram")
-                    if self._direct_meta:
-                        # Direct mode: the secure write path emits
-                        # straight to the channels, and (victim cache
-                        # off) can displace nothing.
-                        self.mees[partition].on_writeback_direct(
-                            issue, phys, local_offset
-                        )
-                    else:
-                        mee_result = self.mees[partition].on_writeback(
-                            issue, phys, local_offset
-                        )
-                        self.schedule(issue, mee_result)
-                        if mee_result.displaced_data:
-                            if queue is None:
-                                queue = deque()
-                            for disp in mee_result.displaced_data:
-                                queue.append(
-                                    Eviction(
-                                        key=disp.line_key,
-                                        dirty_sectors=disp.dirty_sectors,
-                                        valid_sectors=disp.dirty_sectors,
-                                    )
-                                )
+                    mee = self.mees[partition]
+                    mee.on_writeback(issue, phys, local_offset)
+                    if mee.displaced:
+                        queue = _displaced_evictions(mee, queue)
                     if profile:
                         prof.mark("metadata")
             ev = queue.popleft() if queue else None
         if profile:
             prof.mark("dram")
         return last_done
-
-    # ------------------------------------------------------------------
-    # Metadata traffic scheduling
-    # ------------------------------------------------------------------
-
-    def schedule(self, issue: float,
-                 mee_result: MEEResult) -> Tuple[float, float]:
-        """Place the MEE's DRAM requests on their channels; returns
-        ``(critical_done, last_done)`` — the completion of the latest
-        decrypt-critical transfer, and of the latest transfer overall
-        (teardown flushes propagate the latter)."""
-        requests = mee_result.requests
-        if not requests:
-            return 0.0, 0.0
-        ctr_done = 0.0
-        last_done = 0.0
-        traffic = self.traffic
-        channels = self.channels
-        observe = self._observe
-        profile = self._profile
-        if profile:
-            prof = self.profiler
-        for req in requests:
-            if profile:
-                t_svc = prof.now()
-            channel = channels[req.partition]
-            if channel.fifo_fast:
-                # FIFO ``service`` is a pure pass-through to ``occupy``
-                # (see DRAMChannel.fifo_fast) — same arithmetic, two
-                # call layers fewer on the hottest MEE path.
-                done = channel.occupy(issue, req.size, req.is_write)
-            else:
-                done = channel.service(
-                    issue, req.size, req.is_write, address=req.address,
-                    kind=req.kind, critical=req.critical,
-                )
-            if profile:
-                prof.add_component("sched_meta", prof.now() - t_svc)
-            # Inline dispatch for the built-in kinds; anything else
-            # must be registered (an unknown kind used to be silently
-            # booked as demand data).
-            kind = req.kind
-            if kind == "ctr":
-                traffic.counter_bytes += req.size
-            elif kind == "mac":
-                traffic.mac_bytes += req.size
-            elif kind == "bmt":
-                traffic.bmt_bytes += req.size
-            elif kind == "mispred":
-                traffic.misprediction_bytes += req.size
-            elif kind == "data":
-                traffic.data_bytes += req.size
-            else:
-                counter_attr = TRAFFIC_KIND_COUNTERS.get(kind)
-                if counter_attr is None:
-                    raise ValueError(
-                        f"unregistered DRAM request kind {kind!r}; "
-                        "declare it with repro.sim.pipeline."
-                        "register_traffic_kind()"
-                    )
-                setattr(traffic, counter_attr,
-                        getattr(traffic, counter_attr) + req.size)
-            if observe:
-                self.hooks.metadata_request(issue, req, done)
-            if req.critical:
-                ctr_done = max(ctr_done, done)
-            last_done = max(last_done, done)
-        return ctr_done, last_done
 
     # ------------------------------------------------------------------
     # Teardown
@@ -839,12 +554,7 @@ class MemoryPipeline:
         if profile:
             prof.mark("l2")
         for mee in self.mees:
-            if self._direct_meta:
-                last = max(last, mee.flush_direct(end))
-            else:
-                result = MEEResult(requests=mee.flush())
-                _, flush_done = self.schedule(end, result)
-                last = max(last, flush_done)
+            last = max(last, mee.flush(end))
         if profile:
             prof.mark("metadata")
         for channel in self.channels:

@@ -45,7 +45,7 @@ class LatencyStats:
 
     def record_batch(self, latencies) -> None:
         """Record a whole kernel batch of latencies in one pass (the
-        event core).  Accumulation order matches per-value
+        batch loop).  Accumulation order matches per-value
         :meth:`record` calls — the float totals are bit-identical."""
         if not latencies:
             return

@@ -1,10 +1,14 @@
-"""Shared fixtures: tiny workloads, a session-scoped runner, and
-registry hygiene."""
+"""Shared fixtures: tiny workloads, a session-scoped runner, registry
+hygiene, and a DRAM-transaction recorder for MEE/pipeline tests."""
+
+from typing import List, NamedTuple
 
 import pytest
 
-from repro.common.types import MemorySpace
+from repro.common.types import MemorySpace, TrafficCounters
 from repro.core.policies.registry import SCHEME_REGISTRY
+from repro.memory.dram import DRAMChannel
+from repro.memory.sched import DRAMScheduler
 from repro.sim.runner import Runner
 from repro.workloads import patterns as pat
 from repro.workloads.base import WorkloadBuilder
@@ -27,6 +31,90 @@ def _scheme_registry_hygiene():
 
 KB = 1024
 MB = 1024 * 1024
+
+
+# ---------------------------------------------------------------------------
+# DRAM-transaction recording
+# ---------------------------------------------------------------------------
+
+class Transfer(NamedTuple):
+    """One DRAM transaction as a channel's scheduler received it."""
+
+    partition: int
+    size: int
+    is_write: bool
+    kind: str
+    critical: bool
+    address: int
+
+
+class RecordingScheduler(DRAMScheduler):
+    """FIFO arithmetic that logs every transaction.
+
+    Deliberately not a :class:`~repro.memory.sched.FIFOScheduler`: its
+    channels keep ``fifo_fast`` False, so every transfer the pipeline
+    or the MEE places goes through ``service`` and lands in the log.
+    """
+
+    name = "recording"
+
+    def __init__(self, log: List[Transfer]) -> None:
+        self.log = log
+
+    def service(self, channel, arrival, size, is_write, address, kind,
+                critical):
+        self.log.append(Transfer(channel.partition, size, is_write, kind,
+                                 critical, address))
+        return channel.occupy(arrival, size, is_write)
+
+
+def record_channels(channels) -> List[Transfer]:
+    """Swap existing channels onto one shared recording log."""
+    log: List[Transfer] = []
+    for channel in channels:
+        channel.scheduler = RecordingScheduler(log)
+        # fifo_fast is a construction-time snapshot of the scheduler.
+        channel.fifo_fast = False
+    return log
+
+
+class RecordingMEE:
+    """An MEE whose emissions land on recording channels.
+
+    ``on_read_miss`` / ``on_writeback`` / ``flush`` return the
+    :class:`Transfer` list that one call placed on the channels; every
+    other attribute is the wrapped engine's.
+    """
+
+    def __init__(self, mee) -> None:
+        self.mee = mee
+        self.log: List[Transfer] = []
+        self.traffic = TrafficCounters()
+        gpu = mee.config.gpu
+        mee.attach_channels(
+            [DRAMChannel(gpu.dram_bytes_per_cycle, gpu.dram_latency,
+                         partition=p, scheduler=RecordingScheduler(self.log))
+             for p in range(gpu.num_partitions)],
+            self.traffic)
+
+    def _recorded(self, call, *args) -> List[Transfer]:
+        start = len(self.log)
+        call(*args)
+        return self.log[start:]
+
+    def on_read_miss(self, cycle, physical, local_offset) -> List[Transfer]:
+        return self._recorded(self.mee.on_read_miss, cycle, physical,
+                              local_offset)
+
+    def on_writeback(self, cycle, physical, local_offset) -> List[Transfer]:
+        return self._recorded(self.mee.on_writeback, cycle, physical,
+                              local_offset)
+
+    def flush(self, cycle: float = 0.0) -> List[Transfer]:
+        return self._recorded(self.mee.flush, cycle)
+
+    def __getattr__(self, name):
+        return getattr(self.mee, name)
 
 
 def build_tiny_streaming(name="tiny-stream", utilization=0.6):

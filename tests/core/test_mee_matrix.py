@@ -15,6 +15,7 @@ from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.core.mee import MemoryEncryptionEngine
 from repro.metadata.counters import SharedCounter
+from tests.conftest import RecordingMEE
 
 SECURE_SCHEMES = [s for s in Scheme if s is not Scheme.UNPROTECTED]
 
@@ -23,7 +24,8 @@ def make_mee(scheme):
     config = SimConfig().with_scheme(scheme)
     mapper = AddressMapper(config.gpu.num_partitions,
                            config.gpu.interleave_bytes)
-    return MemoryEncryptionEngine(0, config, mapper, SharedCounter())
+    return RecordingMEE(
+        MemoryEncryptionEngine(0, config, mapper, SharedCounter()))
 
 
 def drive(mee, n=300, seed=1, footprint=1 << 20):
@@ -35,7 +37,7 @@ def drive(mee, n=300, seed=1, footprint=1 << 20):
             res = mee.on_writeback(i, offset, offset)
         else:
             res = mee.on_read_miss(i, offset, offset)
-        for req in res.requests:
+        for req in res:
             assert req.size > 0
             assert 0 <= req.partition < 12
             assert req.kind in ("ctr", "mac", "bmt", "mispred", "data")
@@ -82,7 +84,7 @@ class TestTrafficInvariants:
         offset = block * 128
         res = (mee.on_writeback(0, offset, offset) if is_write
                else mee.on_read_miss(0, offset, offset))
-        assert sum(r.size for r in res.requests) <= 16 * 1024
+        assert sum(r.size for r in res) <= 16 * 1024
 
     def test_readonly_reads_generate_no_freshness_traffic(self):
         mee = make_mee(Scheme.SHM)
@@ -91,7 +93,7 @@ class TestTrafficInvariants:
         for i in range(400):
             offset = rng.randrange((1 << 20) // 128) * 128
             res = mee.on_read_miss(i, offset, offset)
-            kinds = {r.kind for r in res.requests}
+            kinds = {r.kind for r in res}
             assert "ctr" not in kinds and "bmt" not in kinds
 
     def test_critical_requests_are_always_counter_reads(self):
@@ -101,7 +103,7 @@ class TestTrafficInvariants:
             for i in range(200):
                 offset = rng.randrange(4096) * 128
                 res = mee.on_read_miss(i, offset, offset)
-                for req in res.requests:
+                for req in res:
                     if req.critical:
                         assert req.kind == "ctr" and not req.is_write
 
@@ -109,4 +111,4 @@ class TestTrafficInvariants:
         mee = make_mee(Scheme.PSSM)
         for i in range(100):
             res = mee.on_writeback(i, i * 128, i * 128)
-            assert not any(r.critical for r in res.requests)
+            assert not any(r.critical for r in res)

@@ -1,11 +1,12 @@
-"""The event queue of the batched core (:mod:`repro.sim.events`).
+"""The event queue of the batch loop (:mod:`repro.sim.events`).
 
-:class:`CompletionWindow` is the only sequential state the event core
+:class:`CompletionWindow` is the only sequential state the simulator
 carries between accesses, so its arithmetic *is* the idle-cycle
 skipping contract: these tests pin the window/issue/stall semantics —
 including the ``freed == ready`` horizon edge where a completion lands
-exactly on an access's program-order slot — and the bit-level identity
-with the legacy :class:`repro.sim.frontend.Frontend`.
+exactly on an access's program-order slot — and that the arithmetic
+:meth:`MemoryPipeline.run_batch` inlines is the window's method form,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import random
 import pytest
 
 from repro.sim.events import CompletionWindow
-from repro.sim.frontend import Frontend, iter_batches
 
 
 class _ReferenceWindow:
@@ -139,32 +139,61 @@ def test_window_matches_the_reference_model(max_inflight, gap):
     assert window.stall_cycles == reference.stall_cycles
 
 
-def test_frontend_is_the_event_queue_bit_for_bit():
-    # The legacy frontend must be the *same machine*: same state slots
-    # after identical stimulus, not merely similar behaviour.
-    rng = random.Random(7)
-    front = Frontend(max_inflight=4, gap=1.5)
-    window = CompletionWindow(max_inflight=4, gap=1.5)
-    for _ in range(300):
-        assert front.issue() == window.issue()
-        latency = rng.uniform(0.0, 25.0)
-        front.complete(front.last_issue + latency)
-        window.complete(window.last_issue + latency)
-    assert front.inflight == window.inflight
-    assert front.stall_cycles == window.stall_cycles
-    assert front.drain() == window.drain()
+def test_throughput_bounded_by_window_over_latency():
+    """With constant latency L and window W, issue rate approaches
+    W/L accesses per cycle - the latency-bound regime."""
+    window = CompletionWindow(max_inflight=10, gap=0.001)
+    at = 0.0
+    for _ in range(1000):
+        at = window.issue()
+        window.complete(at + 100.0)
+    assert 1000 / at == pytest.approx(10 / 100.0, rel=0.05)
 
 
-def test_iter_batches_yields_kernels_in_program_order():
-    from repro.workloads.base import Kernel, Workload
+class _IssueRecorder:
+    """An enabled observer that keeps each read's (issue, latency)."""
 
-    kernels = [Kernel("k0", [(0, False, 4)]),
-               Kernel("empty", []),
-               Kernel("k2", [(128, True, 4)])]
-    workload = Workload(name="b", kernels=kernels, buffers=[],
-                        bandwidth_utilization=0.5)
-    batches = list(iter_batches(workload))
-    assert [idx for idx, _ in batches] == [0, 1, 2]
-    assert [k.name for _, k in batches] == ["k0", "empty", "k2"]
-    # A zero-access kernel is a legal (empty) batch, not a skip.
-    assert batches[1][1].accesses == []
+    enabled = True
+
+    def __init__(self) -> None:
+        self.reads = []
+
+    def read_latency(self, cycle, latency):
+        self.reads.append((cycle, latency))
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: None
+
+
+@pytest.mark.parametrize("max_inflight,gap", [(1, 1.0), (4, 0.001),
+                                              (32, 3.0)])
+def test_run_batch_advances_the_window_like_its_method_form(max_inflight,
+                                                             gap):
+    # A read-only batch mixing hits, MSHR merges and DRAM misses (so
+    # latencies vary): run_batch's inlined window arithmetic must issue
+    # every access where issue()/complete() fed the same latencies
+    # would, and leave the window in the identical state.
+    from repro.common.config import SimConfig
+    from repro.common.types import Scheme
+    from repro.sim.gpu import GPUSimulator
+    from repro.sim.stats import LatencyStats
+
+    rng = random.Random(max_inflight)
+    accesses = [(rng.randrange(1 << 14) * 32, False, rng.choice([1, 2, 4]))
+                for _ in range(400)]
+    recorder = _IssueRecorder()
+    sim = GPUSimulator(SimConfig().with_scheme(Scheme.SHM),
+                       observer=recorder)
+    window = CompletionWindow(max_inflight, gap)
+    sim.pipeline.run_batch(window, accesses, LatencyStats())
+    assert len(recorder.reads) == len(accesses)
+    assert len({latency for _, latency in recorder.reads}) > 1
+
+    reference = CompletionWindow(max_inflight, gap)
+    for issue, latency in recorder.reads:
+        assert reference.issue() == issue
+        reference.complete(issue + latency)
+    for slot in CompletionWindow.__slots__:
+        assert getattr(window, slot) == getattr(reference, slot), slot

@@ -1,5 +1,7 @@
-"""The typed request pipeline (repro.sim.pipeline): lifecycle,
-observer hooks and the teardown-flush completion fix."""
+"""The request pipeline (repro.sim.pipeline): lifecycle, observer
+hook order, traffic-kind dispatch and the teardown-flush completion
+fix.  Transfers are asserted as the DRAM transactions the channels
+received (see ``tests.conftest.RecordingScheduler``)."""
 
 from __future__ import annotations
 
@@ -10,17 +12,17 @@ import pytest
 from repro.common import constants
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
-from repro.core.mee import DRAMRequest, MEEResult
 from repro.sim.gpu import GPUSimulator
 from repro.sim.pipeline import (
     L2_HIT_LATENCY,
     TRAFFIC_KIND_COUNTERS,
-    MemoryRequest,
-    PipelineHooks,
-    Stage,
     register_traffic_kind,
 )
-from tests.conftest import build_tiny_random, build_tiny_streaming
+from tests.conftest import (
+    build_tiny_random,
+    build_tiny_streaming,
+    record_channels,
+)
 
 
 def _sim(scheme=Scheme.SHM, **gpu_overrides) -> GPUSimulator:
@@ -36,75 +38,79 @@ def _sim(scheme=Scheme.SHM, **gpu_overrides) -> GPUSimulator:
 
 def test_read_request_walks_lifecycle():
     sim = _sim()
-    request = sim.pipeline.access(0.0, 4096, False, 4)
-    assert isinstance(request, MemoryRequest)
-    assert request.stage is Stage.COMPLETE
-    assert request.l2_miss and request.fetch_sectors
-    assert request.partition == sim.mapper.to_local(4096).partition
-    assert request.completion >= L2_HIT_LATENCY
+    log = record_channels(sim.channels)
+    completion = sim.pipeline.access(0.0, 4096, False, 4)
+    assert sim.pipeline.l2_stats.misses == 1
+    # The MEE's metadata walk goes out first, then the demand fetch of
+    # the whole line from its home partition.
+    partition = sim.mapper.to_local(4096).partition
+    assert log[-1] == (partition, 4 * constants.SECTOR_SIZE, False, "data",
+                       False, 4096)
+    assert {t.kind for t in log[:-1]} <= {"ctr", "mac", "bmt"}
     # A decrypt-critical counter fetch gates the miss under SHM.
-    assert request.ctr_done > 0.0
+    critical = [t for t in log if t.critical]
+    assert critical and all(t.kind == "ctr" and not t.is_write
+                            for t in critical)
+    assert completion >= L2_HIT_LATENCY
 
 
 def test_l2_hit_completes_at_hit_latency():
     sim = _sim()
+    log = record_channels(sim.channels)
     sim.pipeline.access(0.0, 4096, False, 4)
-    hit = sim.pipeline.access(1000.0, 4096, False, 4)
-    assert not hit.l2_miss
-    assert hit.completion == 1000.0 + L2_HIT_LATENCY
+    transfers = len(log)
+    assert sim.pipeline.access(1000.0, 4096, False, 4) \
+        == 1000.0 + L2_HIT_LATENCY
+    assert len(log) == transfers
+    assert sim.pipeline.l2_stats.misses == 1
 
 
 def test_write_requests_are_posted():
     sim = _sim()
-    request = sim.pipeline.access(5.0, 4096, True, 4)
-    assert request.stage is Stage.COMPLETE
-    assert request.completion == 5.0 + L2_HIT_LATENCY
+    assert sim.pipeline.access(5.0, 4096, True, 4) == 5.0 + L2_HIT_LATENCY
 
 
-def test_custom_hooks_see_lifecycle_transitions():
-    events = []
+class _RecordingObserver:
+    """Logs every observer hook by name (an enabled observer)."""
 
-    class Recorder(PipelineHooks):
-        enabled = True
+    enabled = True
 
-        def l2_checked(self, request):
-            events.append(("l2", request.l2_miss))
+    def __init__(self) -> None:
+        self.events = []
 
-        def metadata_request(self, issue, dram_request, done):
-            events.append(("meta", dram_request.kind))
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: self.events.append((name, args))
 
-        def data_transfer(self, issue, partition, size, is_write):
-            events.append(("data", size))
 
-        def completed(self, request):
-            events.append(("done", request.stage))
-
-    sim = _sim()
-    sim.pipeline.hooks = Recorder()
-    sim.pipeline._observe = True
+def test_observer_sees_lifecycle_in_order():
+    obs = _RecordingObserver()
+    sim = GPUSimulator(SimConfig().with_scheme(Scheme.SHM), observer=obs)
     sim.pipeline.access(0.0, 4096, False, 4)
-    kinds = [e[0] for e in events]
-    assert kinds.count("l2") == 1 and kinds.count("done") == 1
-    assert "meta" in kinds and "data" in kinds
-    assert events[-1] == ("done", Stage.COMPLETE)
-    assert ("l2", True) in events
+    names = [name for name, _ in obs.events]
+    assert names[0] == "l2_access" and obs.events[0][1][2] is True
+    assert names[-1] == "read_latency"
+    # Each MEE transfer reports traffic then its span, after its
+    # channel booked the bus; the demand fetch follows the MEE walk.
+    meta = [i for i, n in enumerate(names) if n == "mee_op"]
+    data = names.index("traffic", meta[-1])
+    assert obs.events[data][1][2] == "data"
+    for i in meta:
+        assert names[i - 2:i] == ["dram", "traffic"]
+    assert names[data - 1] == "dram"
 
 
 # ---------------------------------------------------------------------------
 # Traffic-kind dispatch: unknown kinds must fail loudly
 # ---------------------------------------------------------------------------
 
-def test_schedule_books_builtin_kinds_to_their_counters():
+def test_emission_books_builtin_kinds_to_their_counters():
     sim = _sim()
-    result = MEEResult(requests=[
-        DRAMRequest(partition=0, size=128, is_write=False, kind="data"),
-        DRAMRequest(partition=0, size=8, is_write=False, kind="ctr",
-                    critical=True),
-        DRAMRequest(partition=0, size=8, is_write=True, kind="mac"),
-        DRAMRequest(partition=0, size=64, is_write=False, kind="bmt"),
-        DRAMRequest(partition=0, size=32, is_write=False, kind="mispred"),
-    ])
-    sim.pipeline.schedule(0.0, result)
+    mee = sim.mees[0]
+    for kind, size in (("data", 128), ("ctr", 8), ("mac", 8), ("bmt", 64),
+                       ("mispred", 32)):
+        mee._emit_bulk(size, False, kind)
     traffic = sim.pipeline.traffic
     assert traffic.data_bytes == 128
     assert traffic.counter_bytes == 8
@@ -113,25 +119,19 @@ def test_schedule_books_builtin_kinds_to_their_counters():
     assert traffic.misprediction_bytes == 32
 
 
-def test_schedule_rejects_unregistered_kind():
+def test_emission_rejects_unregistered_kind():
     sim = _sim()
-    bogus = MEEResult(requests=[
-        DRAMRequest(partition=0, size=32, is_write=False, kind="ecc"),
-    ])
     # An unknown kind used to be silently booked as demand data,
     # corrupting every overhead ratio built from the breakdown.
     with pytest.raises(ValueError, match="unregistered DRAM request kind"):
-        sim.pipeline.schedule(0.0, bogus)
+        sim.mees[0]._emit_bulk(32, False, "ecc")
 
 
 def test_register_traffic_kind_makes_kind_schedulable():
     register_traffic_kind("ecc_test", "mac_bytes")
     try:
         sim = _sim()
-        sim.pipeline.schedule(0.0, MEEResult(requests=[
-            DRAMRequest(partition=0, size=48, is_write=False,
-                        kind="ecc_test"),
-        ]))
+        sim.mees[0]._emit_bulk(48, False, "ecc_test")
         assert sim.pipeline.traffic.mac_bytes == 48
     finally:
         del TRAFFIC_KIND_COUNTERS["ecc_test"]
