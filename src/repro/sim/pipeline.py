@@ -351,8 +351,6 @@ class MemoryPipeline:
                             ctr_done = mee.on_read_miss(
                                 issue, line_addr, local_offset
                             )
-                            if mee.displaced:
-                                mee.displaced.clear()
                             if ctr_done:
                                 # Pad generation (AES) starts when the
                                 # counter arrives; decryption cannot
@@ -405,6 +403,13 @@ class MemoryPipeline:
                             )
                         if profile:
                             mark("dram")
+                        if mees and mee.displaced:
+                            # Victim insertions during the metadata
+                            # walk pushed dirty data out of the L2: it
+                            # leaves through the secure write path,
+                            # posted behind the demand fetch.
+                            queue = _displaced_evictions(mee, None)
+                            writeback(issue, queue.popleft(), queue)
                     if eviction is not None and eviction.dirty_sectors:
                         writeback(issue, eviction)
                 record(completion - issue)

@@ -4,6 +4,8 @@ Run from the repo root after an *intentional* model change:
 
     PYTHONPATH=src python tests/golden/generate.py            # both files
     PYTHONPATH=src python tests/golden/generate.py extended   # one file
+    PYTHONPATH=src python tests/golden/generate.py extended CELL...
+                        # refresh only the named extended cells
 
 ``golden_smoke.json`` pins the lossless serialisation of every
 (paper workload x Table VIII scheme) cell at smoke scale, so any
@@ -189,9 +191,18 @@ EXTENDED_CELLS: Dict[str, Callable[[], Any]] = {
 }
 
 
-def generate_extended() -> dict:
+def generate_extended(only=None) -> dict:
+    """All extended cells, or — given cell names — the committed file
+    with just those cells recomputed."""
     cells = {}
+    if only:
+        unknown = set(only) - set(EXTENDED_CELLS)
+        if unknown:
+            raise SystemExit(f"unknown extended cells: {sorted(unknown)}")
+        cells = json.loads(EXTENDED_OUT.read_text())["cells"]
     for name, produce in EXTENDED_CELLS.items():
+        if only and name not in only:
+            continue
         t0 = time.time()
         cells[name] = produce()
         print(f"{name}: {time.time() - t0:.1f}s")
@@ -204,8 +215,8 @@ def _write(path: Path, document: dict) -> None:
 
 
 if __name__ == "__main__":
-    which = sys.argv[1:] or ["smoke", "extended"]
+    which = sys.argv[1:2] or ["smoke", "extended"]
     if "smoke" in which:
         _write(OUT, generate())
     if "extended" in which:
-        _write(EXTENDED_OUT, generate_extended())
+        _write(EXTENDED_OUT, generate_extended(sys.argv[2:]))

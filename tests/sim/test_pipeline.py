@@ -144,6 +144,45 @@ def test_register_traffic_kind_validates_counter_attr():
 
 
 # ---------------------------------------------------------------------------
+# Victim displacement: dirty data a victim insertion pushes out of the
+# L2 must reach DRAM through the secure write path
+# ---------------------------------------------------------------------------
+
+def test_victim_displaced_dirty_data_reaches_dram(monkeypatch):
+    # lbm at scale 0.1 thrashes the L2 under shm_vl2: metadata victim
+    # insertions displace dirty data lines on read misses as well as
+    # on write-backs, and every displaced line must be written back.
+    from collections import Counter
+
+    from repro.memory.l2 import L2Bank
+    from repro.sim.runner import GAP_EPSILON, Runner
+
+    runner = Runner(scale=0.1)
+    calib = runner.calibration("lbm")
+    displaced = []
+    insert = L2Bank.victim_insert
+
+    def spy(self, key, valid_sectors, dirty):
+        evictions = insert(self, key, valid_sectors, dirty)
+        displaced.extend((ev.key * constants.BLOCK_SIZE,
+                          ev.dirty_sectors * constants.SECTOR_SIZE)
+                         for ev in evictions if isinstance(ev.key, int))
+        return evictions
+
+    monkeypatch.setattr(L2Bank, "victim_insert", spy)
+    sim = GPUSimulator(runner.config.with_scheme("shm_vl2"),
+                       truth=calib.profile)
+    log = record_channels(sim.channels)
+    sim.run(runner.workload("lbm"), gap=GAP_EPSILON,
+            max_inflight=calib.window)
+    assert displaced
+    written = Counter((t.address, t.size) for t in log
+                      if t.kind == "data" and t.is_write)
+    lost = Counter(displaced) - written
+    assert not lost, f"displaced dirty data never written back: {lost}"
+
+
+# ---------------------------------------------------------------------------
 # final_flush: teardown write-backs must propagate their completion
 # ---------------------------------------------------------------------------
 
