@@ -438,10 +438,8 @@ class MemoryEncryptionEngine:
 
     # -- MAC cache helpers (called by the MAC policies) --------------------------
 
-    def _blk_mac_access(
-        self, block_id: int, is_write: bool,
-        as_mispred: bool = False,
-    ) -> None:
+    def _blk_mac_access(self, block_id: int, is_write: bool,
+                        as_mispred: bool = False) -> None:
         sector_id = block_id // self._mac_sector_coverage
         line_key = sector_id // self._spb
         sector = sector_id % self._spb
@@ -463,10 +461,8 @@ class MemoryEncryptionEngine:
         self._emit(transfers, displaced,
                    mispred="mispred" if as_mispred else None)
 
-    def _chunk_mac_access(
-        self, chunk_id: int, is_write: bool,
-        as_mispred: bool = False,
-    ) -> None:
+    def _chunk_mac_access(self, chunk_id: int, is_write: bool,
+                          as_mispred: bool = False) -> None:
         sector_id = chunk_id // self._mac_sector_coverage
         line_key = mlayout.CHUNK_MAC_KEY_BASE + sector_id // self._spb
         sector = sector_id % self._spb

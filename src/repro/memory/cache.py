@@ -263,8 +263,7 @@ class SectoredCache:
         """Bulk store to a line *if it is resident*: one set probe
         decides residency and performs the write.
 
-        Equivalent to ``has_line(key)`` followed by
-        ``access_range(key, first, last, is_write=True,
+        Equivalent to ``access_range(key, first, last, is_write=True,
         fetch_on_miss=False)`` when the line is allocated — same
         statistics, masks and LRU motion; returns False (cache
         untouched) when it is not, in which case the caller must run
@@ -331,14 +330,6 @@ class SectoredCache:
         """Non-allocating, non-LRU-updating lookup (victim-cache probe)."""
         line = self._sets[self.set_index(key)].get(key)
         return line is not None and bool(line.valid_mask & (1 << sector))
-
-    def has_line(self, key: Hashable) -> bool:
-        """Is a line allocated for ``key``?  Non-allocating and
-        non-LRU-updating; used to pick the eviction-free bulk store
-        path (a resident line cannot displace a victim)."""
-        if type(key) is int:
-            return key in self._sets[key % self.num_sets]
-        return key in self._sets[self.set_index(key)]
 
     def invalidate(self, key: Hashable) -> Optional[Eviction]:
         """Remove a line, returning its write-back obligation if dirty."""

@@ -208,8 +208,8 @@ class MemoryPipeline:
             append(entry)
         return out
 
-    def run_batch(self, window: "CompletionWindow", accesses,
-                  latency: "LatencyStats") -> None:
+    def run_batch(self, window: CompletionWindow, accesses,
+                  latency: LatencyStats) -> None:
         """Run one kernel batch through the full lifecycle.
 
         Semantically this is ``for each access: window.issue() -> L2
