@@ -433,7 +433,7 @@ class MemoryPipeline:
 
     def _store_alloc(self, issue: float, line_key: int, bank, first: int,
                      last: int, completion: float) -> float:
-        """The batch core's store-allocate slow path: the line must be
+        """The batch loop's store-allocate slow path: the line must be
         allocated.  With the victim cache off, the displaced line's
         write-back cannot touch any L2 data set, so the whole sector
         loop collapses to one bulk allocate with at most one victim;
