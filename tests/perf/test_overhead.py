@@ -82,7 +82,14 @@ class TestTimingRatio:
         construction orders and takes the geometric mean of the two
         min-of-N ratios: the order bias multiplies one ratio and
         divides the other and so cancels, while a genuine null-path
-        slowdown would survive in both and trip the bound."""
+        slowdown would survive in both and trip the bound.
+
+        Within a round the pairs alternate which variant runs first
+        (base-null, null-base, ...).  A fixed base-then-null order
+        biases the first-round ratio upward (~1.10 against ~1.02
+        alternated, 20 processes each on a 2-CPU host) because host
+        drift between the two samples of a pair always lands on the
+        same variant."""
         workload = build_tiny_streaming()
 
         def make_runner(explicit_nulls: bool) -> Runner:
@@ -108,9 +115,13 @@ class TestTimingRatio:
                 null_runner = make_runner(True)
             sample(base_runner)  # discard one warmup per variant
             sample(null_runner)
-            for _ in range(5):
-                base.append(sample(base_runner))
-                nulls.append(sample(null_runner))
+            for i in range(5):
+                if i % 2:
+                    nulls.append(sample(null_runner))
+                    base.append(sample(base_runner))
+                else:
+                    base.append(sample(base_runner))
+                    nulls.append(sample(null_runner))
             return min(nulls) / min(base)
 
         # Samples accumulate across rounds, so a noisy round tightens

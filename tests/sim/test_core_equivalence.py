@@ -1,27 +1,37 @@
-"""Bit-identity of the event core and the legacy per-access loop.
+"""Bit-identity of the inlined DRAM core and the scheduler-service core.
 
-``SimConfig.core`` selects between the batched, idle-cycle-skipping
-event core and the historical per-access run loop.  The two must be
-*indistinguishable* in results — every serialised field byte-equal —
-across the scheme zoo and across workload shapes the batch boundary
-cares about: multi-kernel suites, composed suites whose
-``barrier: false`` phases merge into one kernel batch, and kernels
-with zero accesses (an empty batch must advance kernel bookkeeping
-without issuing anything).
+Every run goes through ``MemoryPipeline.run_batch``, but a DRAM
+transfer reaches the bus one of two ways.  On a channel whose
+discipline is a plain :class:`~repro.memory.sched.FIFOScheduler` and
+that has no observer (``fifo_fast``), the pipeline and the MEE's
+emitters inline the occupancy arithmetic.  On every other channel the
+transfer goes through ``DRAMChannel.service`` and its scheduler.  A
+FIFO discipline that is not a ``FIFOScheduler`` takes the second route
+with the same arithmetic, so the two cores must be *indistinguishable*
+in results — every serialised field byte-equal — across the scheme zoo
+and across workload shapes the batch boundary cares about: multi-kernel
+suites, composed suites whose ``barrier: false`` phases merge into one
+kernel batch, and kernels with zero accesses (an empty batch must
+advance kernel bookkeeping without issuing anything).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from repro.common.config import SimConfig
 from repro.eval.results_io import serialize_run_result
+from repro.sim import gpu as gpu_mod
 from repro.sim.runner import Runner
-from repro.workloads.base import Workload, WorkloadBuilder
-from repro.workloads.compose import Composer, step
-from repro.workloads.patterns import random_read, stream_read, stream_write
+from repro.workloads.base import Workload
+from tests.conftest import RecordingScheduler
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_generate", Path(__file__).parents[1] / "golden" / "generate.py")
+generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate)
 
 SCALE = 0.05
 
@@ -31,142 +41,49 @@ SCHEMES = ["naive", "pssm", "shm", "shm_cctr", "shm_vl2"]
 def _run(core: str, workload, scheme: str):
     """One serialised run on the requested core; ``workload`` is a
     suite name or a custom :class:`Workload`."""
-    runner = Runner(config=replace(SimConfig(), core=core), scale=SCALE)
+    runner = Runner(scale=SCALE)
     if isinstance(workload, Workload):
         runner.add_workload(workload)
         name = workload.name
     else:
         name = workload
-    return serialize_run_result(runner.run(name, scheme))
-
-
-def _composed_suite() -> Workload:
-    """Two tenants with a mid-kernel phase marker: the second phase
-    rides in the first kernel batch (``barrier=False``), the third is
-    a real kernel boundary."""
-    return (
-        Composer("eq_composed", bandwidth_utilization=0.5, seed=11)
-        .buffer("a", "256KB")
-        .buffer("b", "128KB")
-        .phase("warm", step("sequential", "a"))
-        .phase("spill", step("random", "b", count=400), barrier=False)
-        .phase("rescan", step("sequential", "a"),
-               step("stride", "b", stride=256), compose="concat")
-        .build(scale=1.0)
-    )
-
-
-def _zero_access_workload() -> Workload:
-    """Real kernels sandwiching an empty one (and an empty tail)."""
-    builder = WorkloadBuilder("eq_zero", bandwidth_utilization=0.5, seed=3)
-    buf = builder.alloc("data", 128 * 1024)
-    builder.kernel("produce", stream_write(buf.address, buf.size))
-    builder.kernel("sync_only", [])
-    builder.kernel("consume",
-                   stream_read(buf.address, buf.size)
-                   + random_read(builder.rng, buf.address, buf.size, 200))
-    builder.kernel("tail_empty", [])
-    return builder.build()
+    if core == "inline":
+        return serialize_run_result(runner.run(name, scheme))
+    assert core == "service", core
+    log = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gpu_mod, "build_scheduler",
+                   lambda gpu: RecordingScheduler(log))
+        result = serialize_run_result(runner.run(name, scheme))
+    assert log  # the transfers really went through ``service``
+    return result
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_cores_agree_on_a_suite_workload(scheme):
-    assert _run("event", "atax", scheme) == _run("legacy", "atax", scheme)
+    assert _run("service", "atax", scheme) == _run("inline", "atax", scheme)
 
 
 @pytest.mark.parametrize("scheme", ["naive", "shm"])
 def test_cores_agree_on_a_composed_barrier_false_suite(scheme):
-    workload = _composed_suite()
-    assert (_run("event", workload, scheme)
-            == _run("legacy", workload, scheme))
+    workload = generate.composed_suite()
+    assert (_run("service", workload, scheme)
+            == _run("inline", workload, scheme))
 
 
 @pytest.mark.parametrize("scheme", ["pssm", "shm"])
 def test_cores_agree_on_zero_access_kernels(scheme):
-    workload = _zero_access_workload()
-    assert (_run("event", workload, scheme)
-            == _run("legacy", workload, scheme))
+    workload = generate.zero_access_workload()
+    assert (_run("service", workload, scheme)
+            == _run("inline", workload, scheme))
 
 
 def test_zero_access_kernels_run_to_completion():
     # An empty batch must neither crash nor contribute cycles beyond
     # its kernel-boundary bookkeeping.
-    runner = Runner(config=replace(SimConfig(), core="event"), scale=SCALE)
-    workload = _zero_access_workload()
+    runner = Runner(scale=SCALE)
+    workload = generate.zero_access_workload()
     runner.add_workload(workload)
     result = runner.run(workload.name, "shm")
     assert result.cycles > 0
     assert result.traffic.data_bytes > 0
-
-
-def test_unknown_core_is_rejected():
-    runner = Runner(config=replace(SimConfig(), core="warp-drive"),
-                    scale=SCALE)
-    with pytest.raises(ValueError, match="warp-drive"):
-        runner.run("atax", "shm")
-
-
-class TestInstrumentationCoreSelection:
-    """The fallback contract for instrumented runs.
-
-    A per-access :class:`Observer` needs every access event, so it
-    must force the legacy per-access loop even when the config asks
-    for the event core.  A :class:`DecisionLedger` taps at decision
-    granularity inside the MEE and must *not* force the fallback —
-    decision provenance rides the fused fast path.
-    """
-
-    @staticmethod
-    def _spy_on_run_batch(monkeypatch):
-        """Record calls into the event core's batch entry point."""
-        from repro.sim import pipeline as pipeline_mod
-
-        calls = []
-        original = pipeline_mod.MemoryPipeline.run_batch
-
-        def spy(self, *args, **kwargs):
-            calls.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline_mod.MemoryPipeline, "run_batch", spy)
-        return calls
-
-    def test_observer_forces_legacy_fallback(self, monkeypatch):
-        from repro.obs.observer import Observer
-
-        runner = Runner(config=replace(SimConfig(), core="event"),
-                        scale=SCALE, observer=Observer(timeseries=False))
-        # Calibration runs are unobserved and legitimately use the
-        # event core; resolve them before arming the spy.
-        runner.calibration("atax")
-        calls = self._spy_on_run_batch(monkeypatch)
-        runner.run("atax", "shm")
-        assert not calls
-
-    def test_decision_ledger_keeps_the_event_core(self, monkeypatch):
-        from repro.obs.decisions import DecisionLedger
-
-        runner = Runner(config=replace(SimConfig(), core="event"),
-                        scale=SCALE)
-        runner.calibration("atax")
-        # Attached after construction: the ledger is a plain settable
-        # attribute, read per run().
-        ledger = DecisionLedger()
-        runner.ledger = ledger
-        calls = self._spy_on_run_batch(monkeypatch)
-        runner.run("atax", "shm")
-        assert calls
-        assert ledger.rows  # and the fused path actually recorded
-
-    def test_ledger_export_identical_across_cores(self):
-        from repro.obs.decisions import DecisionLedger
-
-        exports = []
-        for core in ("event", "legacy"):
-            ledger = DecisionLedger()
-            runner = Runner(config=replace(SimConfig(), core=core),
-                            scale=SCALE, ledger=ledger)
-            runner.run("atax", "shm")
-            exports.append(ledger.export_text())
-        assert exports[0] == exports[1]
-        assert exports[0].count("\n") > 1  # not vacuously empty
