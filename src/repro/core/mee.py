@@ -20,13 +20,12 @@ encrypt/verify path lives in :mod:`repro.core.functional`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.common import constants
 from repro.common.address import AddressMapper
 from repro.common.config import SimConfig
 from repro.common.types import Pattern, PredictionStats
-from repro.memory.cache import _Line, _popcount
 from repro.core.policies import build_policies
 from repro.core.readonly import ReadOnlyDetector
 from repro.core.streaming import StreamingDetector
@@ -36,7 +35,6 @@ from repro.metadata.caches import (
     KIND_MAC,
     DisplacedData,
     MetadataCaches,
-    MetaTransfer,
 )
 from repro.metadata.counters import CommonCounterTable, CounterFile, SharedCounter
 from repro.obs.decisions import NULL_LEDGER
@@ -84,9 +82,8 @@ class MemoryEncryptionEngine:
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._observe = self.obs.enabled
         # Decision ledger: a *separate* channel from the observer.  It
-        # taps at decision granularity only, so — unlike an observer —
-        # it does NOT flip _observe and does not degrade _fast_meta:
-        # ledgered runs keep the fused fast paths.
+        # taps at decision granularity only, so it does not flip
+        # _observe.
         self.led = ledger if ledger is not None else NULL_LEDGER
         self._led = self.led.enabled
         # Cost scope (see _led_begin/_led_end): while _led_track is
@@ -96,8 +93,10 @@ class MemoryEncryptionEngine:
         self._led_bytes = 0.0
         self._led_transfers = 0
 
-        self.caches = MetadataCaches(config.mdc, partition_id,
+        self.caches = MetadataCaches(config.mdc, partition_id, self._emit,
                                      observer=observer, profiler=profiler)
+        # Bound once: every counter / MAC probe goes through it.
+        self._mdc_access = self.caches.access
         self.profiler = self.caches.profiler
         self._profile = self.caches._profile
         self.readonly = ReadOnlyDetector(self.scheme.detectors)
@@ -126,22 +125,9 @@ class MemoryEncryptionEngine:
         #: Data blocks covered by one 32 B MAC sector (4 with the 8 B
         #: default, 8 with PSSM's 4 B truncation).
         self._mac_sector_coverage = constants.SECTOR_SIZE // self.scheme.mac_size
-        # Hot-path specialisation: when neither the observer nor the
-        # host profiler is attached, the metadata helpers probe their
-        # MDC hit path inline (see _ctr_access) — the bookkeeping is
-        # bit-identical to SectoredCache.access's resident branch, and
-        # the instrumented layers only exist to emit events/timings
-        # that are off here anyway.
-        self._fast_meta = not (self._observe or self._profile)
-        # The fused MDC-miss path (_meta_miss) additionally needs the
-        # victim cache off: a victim-mode miss probes and refills the
-        # L2, which only the full MetadataCaches.access path models.
-        self._fuse_miss = self._fast_meta and not self.scheme.l2_victim_cache
         self._spb = constants.SECTORS_PER_BLOCK
         self._bs = constants.BLOCK_SIZE
         self._ctr_cov = mlayout.CTR_SECTOR_COVERAGE_BLOCKS
-        self._ctr_cache = self.caches.counter
-        self._mac_cache = self.caches.mac
         self._ro_opt = self.scheme.readonly_optimization
         # Bound policy entry points (the policies are fixed at
         # construction; binding skips two attribute chases per access).
@@ -160,15 +146,18 @@ class MemoryEncryptionEngine:
         )
         # Emission targets (wired by :meth:`attach_channels`) and the
         # per-access emission state: the access cycle every transfer
-        # issues at, and the latest decrypt-critical completion.
+        # issues at, the latest decrypt-critical completion, and
+        # whether a misprediction remedy is running (its transfers
+        # are booked as ``mispred``).
         self._channels: Optional[list] = None
         self._traffic = None
         self._cycle = 0.0
         self._ctr_done = 0.0
+        self._mispred = False
         #: Dirty data lines a victim insertion displaced from the L2;
         #: the pipeline drains them through its secure write path
         #: after every MEE call.
-        self.displaced: List[DisplacedData] = []
+        self.displaced: List[DisplacedData] = self.caches.displaced
 
         # Statistics.
         self.readonly_stats = PredictionStats()
@@ -289,9 +278,8 @@ class MemoryEncryptionEngine:
 
     def attach_ledger(self, ledger) -> None:
         """Attach (or detach, with the NULL ledger) a decision ledger
-        after construction.  This leaves ``_observe`` / ``_fast_meta``
-        untouched: the ledger taps fire at decision granularity and
-        are legal on the fused fast paths."""
+        after construction.  This leaves ``_observe`` untouched: the
+        ledger taps fire at decision granularity."""
         self.led = ledger if ledger is not None else NULL_LEDGER
         self._led = self.led.enabled
         self._led_track = False
@@ -362,50 +350,14 @@ class MemoryEncryptionEngine:
 
     def _ctr_access(self, block_id: int, is_write: bool, fetch: bool) -> None:
         sector_id = block_id // self._ctr_cov
-        line_key = sector_id // self._spb
-        sector = sector_id % self._spb
-        if self._fast_meta:
-            # Resident-sector fast path, inlined from SectoredCache.
-            # access: a hit emits no transfers, walks no BMT and (with
-            # observer/profiler off) has no other side effects.
-            cache = self._ctr_cache
-            lines = cache._sets[line_key % cache.num_sets]
-            line = lines.get(line_key)
-            bit = 1 << sector
-            if line is not None and line.valid_mask & bit:
-                cache.accesses += 1
-                cache.hits += 1
-                if is_write:
-                    line.dirty_mask |= bit
-                if next(reversed(lines)) is not line_key:
-                    del lines[line_key]
-                    lines[line_key] = line
-                return
-            if self._fuse_miss:
-                self._meta_miss(cache, KIND_CTR, line_key, sector,
-                                is_write, fetch)
-                if fetch:
-                    leaf = mlayout.bmt_leaf(block_id)
-                    t, d = self.bmt.walk(
-                        self.caches, leaf, is_write=is_write,
-                        sectors_on_miss=self._meta_sectors_on_miss)
-                    self._emit(t, d)
-                return
-        transfers, displaced, hit = self.caches.access(
-            KIND_CTR, line_key, sector, is_write=is_write,
-            fetch_on_miss=fetch, sectors_on_miss=self._meta_sectors_on_miss,
-        )
-        # Only a *read's* counter fetch blocks decryption; the write
-        # path's read-modify-write fetch is off the critical path.
-        self._emit(transfers, displaced,
-                   critical_kind=None if is_write else KIND_CTR)
-        if not hit and fetch:
+        spb = self._spb
+        if not self._mdc_access(KIND_CTR, sector_id // spb, sector_id % spb,
+                                is_write, fetch,
+                                self._meta_sectors_on_miss) and fetch:
             # Counter came from memory: its BMT path must be verified
             # (read) or will be re-hashed (write).
-            leaf = mlayout.bmt_leaf(block_id)
-            t, d = self.bmt.walk(self.caches, leaf, is_write=is_write,
-                                 sectors_on_miss=self._meta_sectors_on_miss)
-            self._emit(t, d)
+            self.bmt.walk(self.caches, mlayout.bmt_leaf(block_id), is_write,
+                          self._meta_sectors_on_miss)
 
     def _propagate_shared_counter(self, region_id: int) -> None:
         """Fig. 8: a write to a read-only region copies the shared
@@ -419,15 +371,11 @@ class MemoryEncryptionEngine:
         for i in range(lines):
             line_key = mlayout.counter_line(first_block) + i
             self.counters.set_major(line_key, self.shared_counter.value)
-            base_block = line_key * mlayout.CTR_LINE_COVERAGE_BLOCKS
             for sector in range(constants.SECTORS_PER_BLOCK):
-                transfers, displaced, _ = self.caches.access(
-                    KIND_CTR, line_key, sector, is_write=True, fetch_on_miss=False,
-                )
-                self._emit(transfers, displaced)
-            t, d = self.bmt.walk(self.caches, line_key, is_write=True,
-                                 sectors_on_miss=self._meta_sectors_on_miss)
-            self._emit(t, d)
+                self._mdc_access(KIND_CTR, line_key, sector, is_write=True,
+                                 fetch_on_miss=False)
+            self.bmt.walk(self.caches, line_key, is_write=True,
+                          sectors_on_miss=self._meta_sectors_on_miss)
 
     def _reencrypt_line(self, ctr_line: int) -> None:
         """Minor-counter overflow: re-encrypt the line's whole coverage
@@ -438,129 +386,85 @@ class MemoryEncryptionEngine:
 
     # -- MAC cache helpers (called by the MAC policies) --------------------------
 
+    # MAC updates never read the old MAC (the new value is computed
+    # from the data): they write-allocate without fetch.
+
     def _blk_mac_access(self, block_id: int, is_write: bool,
                         as_mispred: bool = False) -> None:
         sector_id = block_id // self._mac_sector_coverage
-        line_key = sector_id // self._spb
-        sector = sector_id % self._spb
-        if self._fast_meta and self._mac_hit(line_key, sector, is_write):
-            return
-        if self._fuse_miss and not as_mispred:
-            # MAC updates never read the old MAC (the new value is
-            # computed from the data): write-allocate without fetch.
-            self._meta_miss(self._mac_cache, KIND_MAC, line_key, sector,
-                            is_write, not is_write)
-            return
-        # MAC updates never read the old MAC (the new value is computed
-        # from the data): write-allocate without fetch.
-        transfers, displaced, _ = self.caches.access(
-            KIND_MAC, line_key, sector, is_write=is_write,
-            fetch_on_miss=not is_write,
-            sectors_on_miss=self._meta_sectors_on_miss,
-        )
-        self._emit(transfers, displaced,
-                   mispred="mispred" if as_mispred else None)
+        spb = self._spb
+        if as_mispred:
+            self._mispred_mac_access(sector_id // spb, sector_id % spb,
+                                     is_write)
+        else:
+            self._mdc_access(KIND_MAC, sector_id // spb, sector_id % spb,
+                             is_write, not is_write,
+                             self._meta_sectors_on_miss)
 
     def _chunk_mac_access(self, chunk_id: int, is_write: bool,
                           as_mispred: bool = False) -> None:
         sector_id = chunk_id // self._mac_sector_coverage
         line_key = mlayout.CHUNK_MAC_KEY_BASE + sector_id // self._spb
         sector = sector_id % self._spb
-        if self._fast_meta and self._mac_hit(line_key, sector, is_write):
-            return
-        if self._fuse_miss and not as_mispred:
-            self._meta_miss(self._mac_cache, KIND_MAC, line_key, sector,
-                            is_write, not is_write)
-            return
-        transfers, displaced, _ = self.caches.access(
-            KIND_MAC, line_key, sector, is_write=is_write,
-            fetch_on_miss=not is_write,
-            sectors_on_miss=self._meta_sectors_on_miss,
-        )
-        self._emit(transfers, displaced,
-                   mispred="mispred" if as_mispred else None)
+        if as_mispred:
+            self._mispred_mac_access(line_key, sector, is_write)
+        else:
+            self._mdc_access(KIND_MAC, line_key, sector, is_write,
+                             not is_write, self._meta_sectors_on_miss)
 
-    def _meta_miss(self, cache, kind: str, line_key: int, sector: int,
-                   is_write: bool, fetch: bool) -> None:
-        """Unobserved MDC miss, fused: :meth:`SectoredCache.access`'s
-        miss branch, the whole-line fill and the fetch/eviction
-        transfers collapse into one pass that occupies the channels
-        immediately — statistics, masks, LRU motion, transfer order
-        and timing identical to ``caches.access`` + ``_emit`` on the
-        same state (victim cache off, so nothing is ever displaced
-        and eviction valid-sector counts are never read)."""
-        cache.accesses += 1
-        lines = cache._sets[line_key % cache.num_sets]
-        line = lines.get(line_key)
-        bit = 1 << sector
-        evict_key = 0
-        evict_dirty = 0
-        if line is None:
-            if len(lines) >= cache.ways:
-                victim_key = next(iter(lines))  # LRU = oldest insertion
-                victim = lines.pop(victim_key)
-                evict_dirty = _popcount(victim.dirty_mask)
-                if evict_dirty:
-                    cache.writebacks += evict_dirty
-                evict_key = victim_key
-            line = _Line(line_key)
-            lines[line_key] = line
-        if fetch:
-            cache.sector_fills += 1
-        line.valid_mask |= bit
-        if is_write:
-            line.dirty_mask |= bit
-        if next(reversed(lines)) is not line_key:
-            del lines[line_key]
-            lines[line_key] = line
-        sector_size = constants.SECTOR_SIZE
-        if fetch:
-            # Demand fetch first, displaced dirty line second — the
-            # order the object path appends its transfers.
-            size = sector_size
-            som = self._meta_sectors_on_miss
-            if som > 1:
-                size += (som - 1) * sector_size
-                # SectoredCache.fill_all_sectors, inlined: the line is
-                # resident and already MRU (the demand access above
-                # just touched it), so only masks and stats move.
-                full = cache._full_mask
-                present = _popcount(line.valid_mask & full)
-                spb = cache.sectors_per_block
-                cache.accesses += spb
-                cache.hits += present
-                cache.sector_fills += spb - present
-                line.valid_mask |= full
-            self._occupy_meta(kind, line_key, size, False,
-                              kind is KIND_CTR and not is_write)
-        if evict_dirty:
-            self._occupy_meta(kind, evict_key, evict_dirty * sector_size,
-                              True, False)
+    def _mispred_mac_access(self, line_key: int, sector: int,
+                            is_write: bool) -> None:
+        """A MAC access of a misprediction remedy: every transfer it
+        causes is booked as ``mispred`` traffic."""
+        self._mispred = True
+        self._mdc_access(KIND_MAC, line_key, sector, is_write, not is_write,
+                         self._meta_sectors_on_miss)
+        self._mispred = False
 
-    def _occupy_meta(self, kind: str, line_key: int, size: int,
-                     is_write: bool, critical: bool) -> None:
-        """Route one fused metadata transfer to its DRAM channel (the
-        single-transfer core of :meth:`_emit`)."""
+    # ------------------------------------------------------------------------
+    # Emission: every metadata transfer occupies its channel when emitted
+    # ------------------------------------------------------------------------
+
+    def _emit(self, kind: str, line_key: int, size: int, is_write: bool,
+              critical: bool) -> float:
+        """Place one MDC-generated transfer on its DRAM channel at the
+        current access cycle (the ``emit`` sink of :attr:`caches`);
+        returns its completion cycle.
+
+        Local metadata lives in its own partition's share; physically
+        addressed metadata lives wherever its carve-out address maps.
+        The address also feeds address-aware DRAM schedulers.
+        """
         if self._led_track:
             self._led_bytes += size
             self._led_transfers += 1
-        traffic = self._traffic
-        if kind is KIND_CTR:
+        if kind == KIND_CTR:
             addr = self.layout.counter_address(line_key)
-            traffic.counter_bytes += size
-        elif kind is KIND_MAC:
+        elif kind == KIND_MAC:
             addr = self.layout.mac_address(line_key)
-            traffic.mac_bytes += size
         else:
             addr = self.layout.bmt_address(line_key)
+        traffic = self._traffic
+        if self._mispred:
+            kind = "mispred"
+            traffic.misprediction_bytes += size
+        elif kind == KIND_CTR:
+            traffic.counter_bytes += size
+        elif kind == KIND_MAC:
+            traffic.mac_bytes += size
+        else:
             traffic.bmt_bytes += size
         partition = (self.partition_id if self._local_metadata
                      else self.mapper.partition_of(addr))
         channel = self._channels[partition]
+        cycle = self._cycle
+        profile = self._profile
+        if profile:
+            prof = self.profiler
+            t_svc = prof.now()
         if channel.fifo_fast:
-            # DRAMChannel.occupy, inlined (the fused path runs only
-            # unobserved, so no dram event can be owed).
-            cycle = self._cycle
+            # DRAMChannel.occupy, inlined (fifo_fast channels owe no
+            # dram event).
             start = channel._next_free
             if cycle > start:
                 start = cycle
@@ -580,111 +484,17 @@ class MemoryEncryptionEngine:
                 stats.read_bytes += size
             done = next_free + channel.latency
         else:
-            done = channel.service(self._cycle, size, is_write, address=addr,
+            done = channel.service(cycle, size, is_write, address=addr,
                                    kind=kind, critical=critical)
+        if profile:
+            prof.add_component("sched_meta", prof.now() - t_svc)
+        if self._observe:
+            self.obs.traffic(cycle, partition, kind, size, is_write)
+            self.obs.mee_op(partition, kind, is_write, cycle, done,
+                            critical=critical)
         if critical and done > self._ctr_done:
             self._ctr_done = done
-
-    def _mac_hit(self, line_key: int, sector: int, is_write: bool) -> bool:
-        """Resident-sector fast path on the MAC cache (see
-        _ctr_access); True when the access was a hit and is done."""
-        cache = self._mac_cache
-        lines = cache._sets[line_key % cache.num_sets]
-        line = lines.get(line_key)
-        bit = 1 << sector
-        if line is None or not line.valid_mask & bit:
-            return False
-        cache.accesses += 1
-        cache.hits += 1
-        if is_write:
-            line.dirty_mask |= bit
-        if next(reversed(lines)) is not line_key:
-            del lines[line_key]
-            lines[line_key] = line
-        return True
-
-    # ------------------------------------------------------------------------
-    # Emission: every metadata transfer occupies its channel when emitted
-    # ------------------------------------------------------------------------
-
-    def _emit(
-        self,
-        transfers: "Sequence[MetaTransfer]",
-        displaced: "Sequence[DisplacedData]",
-        critical_kind: Optional[str] = None,
-        mispred: Optional[str] = None,
-    ) -> float:
-        """Place MDC-generated transfers on their DRAM channels at the
-        current access cycle, in emission order, and queue displaced
-        dirty data lines on :attr:`displaced`.
-
-        Local metadata lives in its own partition's share; physically
-        addressed metadata lives wherever its carve-out address maps.
-        The address also feeds address-aware DRAM schedulers.  Returns
-        the latest completion cycle (0.0 when nothing moved).
-        """
-        if displaced:
-            self.displaced.extend(displaced)
-        last = 0.0
-        if not transfers:
-            return last
-        cycle = self._cycle
-        channels = self._channels
-        traffic = self._traffic
-        layout = self.layout
-        local = self._local_metadata
-        pid = self.partition_id
-        ctr_done = self._ctr_done
-        track = self._led_track
-        observe = self._observe
-        profile = self._profile
-        if profile:
-            prof = self.profiler
-        for t in transfers:
-            tkind = t.kind
-            if track:
-                self._led_bytes += t.size
-                self._led_transfers += 1
-            if tkind == KIND_CTR:
-                addr = layout.counter_address(t.line_key)
-            elif tkind == KIND_MAC:
-                addr = layout.mac_address(t.line_key)
-            else:
-                addr = layout.bmt_address(t.line_key)
-            partition = pid if local else self.mapper.partition_of(addr)
-            size = t.size
-            is_write = t.is_write
-            critical = (critical_kind is not None and tkind == critical_kind
-                        and not is_write)
-            kind = mispred or tkind
-            if profile:
-                t_svc = prof.now()
-            channel = channels[partition]
-            if channel.fifo_fast:
-                done = channel.occupy(cycle, size, is_write)
-            else:
-                done = channel.service(cycle, size, is_write, address=addr,
-                                       kind=kind, critical=critical)
-            if profile:
-                prof.add_component("sched_meta", prof.now() - t_svc)
-            if kind == "ctr":
-                traffic.counter_bytes += size
-            elif kind == "mac":
-                traffic.mac_bytes += size
-            elif kind == "bmt":
-                traffic.bmt_bytes += size
-            else:
-                self._book_traffic(kind, size)
-            if observe:
-                self.obs.traffic(cycle, partition, kind, size, is_write)
-                self.obs.mee_op(partition, kind, is_write, cycle, done,
-                                critical=critical)
-            if critical and done > ctr_done:
-                ctr_done = done
-            if done > last:
-                last = done
-        self._ctr_done = ctr_done
-        return last
+        return done
 
     def _emit_bulk(self, size: int, is_write: bool, kind: str) -> None:
         """One address-less bulk transfer on this partition's channel
@@ -741,7 +551,7 @@ class MemoryEncryptionEngine:
         ``cycle``.  Returns the last completion cycle (0.0 when
         nothing was dirty)."""
         self._cycle = cycle
-        return self._emit(self.caches.flush(), ())
+        return self.caches.flush()
 
     # ------------------------------------------------------------------------
     # Prediction-accuracy accounting (Figs. 10 and 11)

@@ -200,8 +200,7 @@ class SectoredCache:
             lines[key] = line
         if eviction is None:
             return _MISS_FETCH if fetch_on_miss else _MISS_NO_FETCH
-        return AccessResult(hit=False, needs_fetch=fetch_on_miss,
-                            eviction=eviction)
+        return AccessResult(False, fetch_on_miss, eviction)
 
     def access_range(
         self,
@@ -419,8 +418,7 @@ class SectoredCache:
             valid = _popcount(victim.valid_mask)
             if dirty:
                 self.writebacks += dirty
-            eviction = Eviction(key=victim.key, dirty_sectors=dirty,
-                                valid_sectors=valid)
+            eviction = Eviction(victim.key, dirty, valid)
         line = _Line(key)
         lines[key] = line
         return line, eviction

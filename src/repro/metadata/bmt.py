@@ -19,10 +19,10 @@ that its schemes are integrity-tree independent:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.common import constants
-from repro.metadata.caches import DisplacedData, MetadataCaches, MetaTransfer, KIND_BMT
+from repro.metadata.caches import KIND_BMT, MetadataCaches
 from repro.metadata.layout import BMT_LEVEL_KEY_BASE
 
 
@@ -33,8 +33,7 @@ def _path_refs(levels: int, arity: int,
     path, bottom-up, excluding the on-chip root (level ``levels``).
 
     Pure tree-layout arithmetic, so it is memoised process-wide: a walk
-    becomes one cached lookup plus a single batched cache probe instead
-    of per-level division chains.  The key space is bounded by the
+    becomes one cached lookup instead of per-level division chains.  The key space is bounded by the
     counter lines a workload actually touches.
     """
     spb = constants.SECTORS_PER_BLOCK
@@ -81,23 +80,21 @@ class BMTWalker:
         leaf_index: int,
         is_write: bool,
         sectors_on_miss: int = 1,
-    ) -> Tuple[List[MetaTransfer], List[DisplacedData]]:
+    ) -> None:
         """Verify (read) or update (write) the path of one leaf.
 
         Reads stop at the first level that hits in the tree cache —
         that ancestor is already verified/owned on chip.  Writes do
         the same under the lazy (BMT) discipline, or continue to the
         top under the eager (counter-tree) discipline.  The root
-        itself is on chip and never generates traffic.
+        itself is on chip and never generates traffic; every node
+        fetch and write back goes to the caches' ``emit`` sink.
         """
         self.walks += 1
-        transfers: List[MetaTransfer] = []
-        displaced: List[DisplacedData] = []
-        refs = _path_refs(self.levels, self.arity, leaf_index)
-        if refs:
-            stop_at_hit = not (is_write and self.eager_writes)
-            self.nodes_touched += caches.access_path(
-                KIND_BMT, refs, is_write, sectors_on_miss, stop_at_hit,
-                transfers, displaced,
-            )
-        return transfers, displaced
+        stop_at_hit = not (is_write and self.eager_writes)
+        access = caches.access
+        for key, sector in _path_refs(self.levels, self.arity, leaf_index):
+            self.nodes_touched += 1
+            if access(KIND_BMT, key, sector, is_write, True,
+                      sectors_on_miss) and stop_at_hit:
+                break

@@ -31,8 +31,8 @@ from typing import Callable, Dict, List, Optional
 #: Schema version of :meth:`HostProfiler.snapshot` documents.
 HOST_PROFILE_FORMAT = 1
 
-#: The five request-lifecycle stages host time is attributed to
-#: (mirrors :class:`repro.sim.pipeline.Stage`).
+#: The five request-lifecycle stages host time is attributed to, in
+#: the order a request passes them in ``MemoryPipeline.run_batch``.
 STAGES = ("issued", "l2", "metadata", "dram", "complete")
 
 #: Component breakdown reported by :meth:`HostProfiler.snapshot`.

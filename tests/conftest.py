@@ -1,5 +1,5 @@
 """Shared fixtures: tiny workloads, a session-scoped runner, registry
-hygiene, and a DRAM-transaction recorder for MEE/pipeline tests."""
+hygiene, and DRAM-transaction recorders for MDC/MEE/pipeline tests."""
 
 from typing import List, NamedTuple
 
@@ -76,6 +76,25 @@ def record_channels(channels) -> List[Transfer]:
         # fifo_fast is a construction-time snapshot of the scheduler.
         channel.fifo_fast = False
     return log
+
+
+class Emitted(NamedTuple):
+    """One DRAM transfer a :class:`MetadataCaches` passed to its sink."""
+
+    kind: str
+    line_key: int
+    size: int
+    is_write: bool
+    critical: bool
+
+
+class EmitLog(list):
+    """A recording ``emit`` sink for a bare :class:`MetadataCaches`:
+    logs every transfer, each completing at cycle 0."""
+
+    def __call__(self, kind, line_key, size, is_write, critical) -> float:
+        self.append(Emitted(kind, line_key, size, is_write, critical))
+        return 0.0
 
 
 class RecordingMEE:

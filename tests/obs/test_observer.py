@@ -15,6 +15,7 @@ from repro.obs.validate import (
     validate_metrics,
     validate_trace,
 )
+from repro.eval.results_io import serialize_run_result
 from repro.sim.runner import Runner
 from tests.conftest import build_tiny_streaming
 
@@ -64,6 +65,17 @@ class TestReadOnlyObservation:
         assert result.traffic.mac_bytes == bare.traffic.mac_bytes
         assert result.traffic.bmt_bytes == bare.traffic.bmt_bytes
         assert result.l2.misses == bare.l2.misses
+        # Every field, under every metadata-cache configuration.
+        workload = build_tiny_streaming()
+        plain = Runner()
+        plain.add_workload(workload)
+        runner = Runner(observer=Observer(tracer=ChromeTracer(),
+                                          window_cycles=1000.0))
+        runner.add_workload(workload)
+        for scheme in (Scheme.NAIVE, Scheme.SHM, Scheme.SHM_VL2):
+            assert (serialize_run_result(runner.run(workload.name, scheme))
+                    == serialize_run_result(plain.run(workload.name,
+                                                      scheme))), scheme
 
 
 class TestCustomSchemeRunLabels:

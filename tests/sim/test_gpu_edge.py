@@ -63,16 +63,31 @@ class TestConservation:
         assert not sim.mees
 
     def test_channel_byte_totals_match_counters(self):
+        from repro.obs.observer import Observer
+        from repro.perf.hostprof import HostProfiler
+
         w = tiny("acct", lambda b, d, o: pat.interleave(b.rng, [
             pat.stream_read(d.address, d.size),
             pat.random_write(b.rng, o.address, o.size, 500),
         ]))
+        # Plain, observed and profiled runs share one metadata path;
+        # each must conserve bytes on its own.
+        modes = {
+            "plain": lambda: {},
+            "observed": lambda: {"observer": Observer(window_cycles=1000.0)},
+            "profiled": lambda: {"profiler": HostProfiler()},
+        }
         for scheme in (Scheme.NAIVE, Scheme.PSSM, Scheme.SHM,
                        Scheme.SHM_CCTR, Scheme.SHM_VL2,
-                       Scheme.SHM_UPPER_BOUND):
-            result, sim = run(w, scheme)
-            channel_total = sum(ch.stats.total_bytes for ch in sim.channels)
-            assert channel_total == result.traffic.total_bytes, scheme
+                       Scheme.SHM_UPPER_BOUND, "pssm_learned", "shm_bandit"):
+            for mode, hooks in modes.items():
+                sim = GPUSimulator(SimConfig().with_scheme(scheme),
+                                   **hooks())
+                result = sim.run(w, max_inflight=128)
+                channel_total = sum(ch.stats.total_bytes
+                                    for ch in sim.channels)
+                assert channel_total == result.traffic.total_bytes, \
+                    (scheme, mode)
 
 
 class TestKernelBoundaries:
