@@ -730,7 +730,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             force=args.force,
             timeout=args.timeout,
             retries=args.retries,
-            serial=args.serial,
             progress=progress,
             collect_metrics=args.cell_metrics,
             collect_decisions=args.cell_decisions,
@@ -954,7 +953,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: each experiment's own set)")
     p_camp.add_argument("--scale", type=float, default=0.25)
     p_camp.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: CPU count)")
+                        help="worker processes (default: CPU count; "
+                             "1 runs in-process)")
     p_camp.add_argument("--store", default=None, metavar="DIR",
                         help="result-store directory "
                              "(default: .repro-store; smoke: a temp dir)")
@@ -965,9 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-cell wall-clock budget in seconds")
     p_camp.add_argument("--retries", type=int, default=1,
                         help="retries per failed/killed cell")
-    p_camp.add_argument("--serial", action="store_true",
-                        help="run in-process on one shared runner "
-                             "(identical results, no pool)")
     p_camp.add_argument("--manifest", default=None, metavar="PATH",
                         help="write the campaign manifest JSON here")
     p_camp.add_argument("--cell-metrics", action="store_true",

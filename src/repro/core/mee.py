@@ -521,8 +521,8 @@ class MemoryEncryptionEngine:
 
     def _book_traffic(self, kind: str, size: int) -> None:
         """Traffic-counter dispatch for the uncommon kinds (the
-        emitters inline ctr/mac/bmt); any kind beyond the built-ins
-        must be registered (an unknown kind used to be silently booked
+        emitters inline ctr/mac/bmt); any kind beyond the five
+        built-ins raises (an unknown kind used to be silently booked
         as demand data, which corrupted every overhead ratio)."""
         traffic = self._traffic
         if kind == "ctr":
@@ -536,15 +536,10 @@ class MemoryEncryptionEngine:
         elif kind == "data":
             traffic.data_bytes += size
         else:
-            from repro.sim.pipeline import TRAFFIC_KIND_COUNTERS
-            counter_attr = TRAFFIC_KIND_COUNTERS.get(kind)
-            if counter_attr is None:
-                raise ValueError(
-                    f"unregistered DRAM request kind {kind!r}; declare "
-                    "it with repro.sim.pipeline.register_traffic_kind()"
-                )
-            setattr(traffic, counter_attr,
-                    getattr(traffic, counter_attr) + size)
+            raise ValueError(
+                f"unregistered DRAM request kind {kind!r}; the kinds are "
+                "data, ctr, mac, bmt and mispred"
+            )
 
     def flush(self, cycle: float) -> float:
         """Context teardown: all dirty metadata drains to DRAM at

@@ -7,13 +7,14 @@ config-override) cell — plus a *pure* aggregation step that folds the
 finished cells into an :class:`ExperimentResult`.  This module runs
 those matrices two ways, with identical results:
 
-* **Serial** (:func:`run_cells_serial`): in-process against one shared
-  :class:`repro.sim.runner.Runner` — what the classic ``fig*`` driver
-  functions use, fastest for a handful of cells because calibrations
-  are shared.
-* **Campaign** (:func:`run_campaign`): cells fan out over a
-  ``ProcessPoolExecutor`` worker pool (per-job timeouts, bounded
-  retries with backoff — see :mod:`repro.sim.parallel`), every
+* **Serial** (:func:`run_cells_serial`): in-process against one
+  caller-owned :class:`repro.sim.runner.Runner` — what the classic
+  ``fig*`` driver functions and the benches use, so calibrations are
+  shared across figures.
+* **Campaign** (:func:`run_campaign`): cells go through
+  :func:`repro.sim.parallel.execute_jobs` — in-process at ``jobs=1``,
+  on a ``ProcessPoolExecutor`` worker pool above that, with per-job
+  timeouts and bounded retries with backoff at every width — every
   completed cell is persisted into a content-addressed
   :class:`repro.eval.results_io.ResultStore`, and a re-run resumes
   instantly from cached cells (``force=True`` selectively invalidates
@@ -21,12 +22,12 @@ those matrices two ways, with identical results:
   with its traceback and excluded from aggregates instead of killing
   the sweep.
 
-Both run in two waves.  Wave 1 calibrates once per
+A campaign runs in two waves.  Wave 1 calibrates once per
 :func:`calibration_key` among the cells to execute; wave 2 runs the
-cells against those calibrations (on the pool, each submitted cell
-carries its :class:`~repro.sim.runner.Calibration`, largest baseline
-first).  A cell's runtime is therefore one scheme run, and a failed
-calibration fails exactly the cells that depend on it.
+cells against those calibrations (each submitted cell carries its
+:class:`~repro.sim.runner.Calibration`, largest baseline first).  A
+cell's runtime is therefore one scheme run, and a failed calibration
+fails exactly the cells that depend on it.
 
 Cells are **deduplicated by content address** across experiments: the
 (atax, SHM, default-config) run that Fig. 12, Fig. 13 and Fig. 16 all
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -146,7 +146,7 @@ class JobSpec:
     #: the payload.  Execution detail — excluded from :func:`cell_key`.
     collect_decisions: bool = False
     #: The cell's calibration, attached by the campaign only to the
-    #: copy it submits to the pool: the worker seeds its runner with it
+    #: copy it submits in wave 2: the worker seeds its runner with it
     #: instead of recalibrating.  Excluded from :func:`cell_key`.
     calibration: Optional[Calibration] = None
 
@@ -318,18 +318,28 @@ def _deserialize_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+#: ``(calibration_key, Workload)`` of the last workload
+#: :func:`_cell_worker` built in this process.  Wave 2 submits the cells
+#: of one calibration key adjacently, so a worker reuses the workload
+#: instead of rebuilding it per cell; :func:`run_campaign` clears it.
+_last_workload: Optional[tuple] = None
+
+
 def _cell_worker(job: JobSpec) -> Dict[str, Any]:
     """Top-level worker entry point (must be picklable): one fresh
     runner, one cell, a JSON-safe payload back — or, for a
     ``kind="calibrate"`` job, the :class:`Calibration` itself (pickled
     home by the pool).  A job carrying a ``calibration`` seeds the
-    runner with it, so the cell does not recalibrate.
+    runner with it, so the cell does not recalibrate; a job with the
+    last built workload's :func:`calibration_key` seeds it with that
+    workload.
 
     With ``job.collect_metrics`` the run happens under an observer and
     the payload carries the worker's metrics as a ``"metrics"`` state
     dict — in-place registry mutation inside a pool worker is invisible
     to the parent, so the state rides home with the result and the
     parent merges it (:meth:`MetricsRegistry.merge_state`)."""
+    global _last_workload
     observer = None
     if job.collect_metrics:
         from repro.obs.observer import Observer
@@ -337,7 +347,13 @@ def _cell_worker(job: JobSpec) -> Dict[str, Any]:
     runner = Runner(config=job.config, scale=job.scale, observer=observer)
     if job.calibration is not None:
         runner._calibrations[job.workload] = job.calibration
+    ckey = calibration_key(job)
+    if _last_workload is not None and _last_workload[0] == ckey:
+        runner._workloads[job.workload] = _last_workload[1]
     payload = _evaluate_cell(runner, job)
+    # A profile cell never builds its workload: keep the last one.
+    if job.workload in runner._workloads:
+        _last_workload = (ckey, runner._workloads[job.workload])
     if job.kind != "calibrate":
         payload = _serialize_payload(payload)
     if observer is not None:
@@ -386,29 +402,17 @@ class _SerialEvaluator:
         return _evaluate_cell(self._runner_for(job), job)
 
 
-def run_cells_serial(runner: Runner, jobs: Sequence[JobSpec],
-                     strict: bool = True) -> List[CellRecord]:
+def run_cells_serial(runner: Runner,
+                     jobs: Sequence[JobSpec]) -> List[CellRecord]:
     """Execute a job matrix in-process on ``runner`` — the "old serial
-    path" every classic ``fig*`` driver routes through.
-
-    With ``strict=True`` (the drivers' behaviour) a cell's exception
-    propagates; with ``strict=False`` (the campaign's ``--serial``
-    mode) it is captured on the record like the worker pool would.
+    path" every classic ``fig*`` driver routes through.  A cell's
+    exception propagates.
     """
     evaluator = _SerialEvaluator(runner)
     records: List[CellRecord] = []
     for job in jobs:
         start = time.monotonic()
-        try:
-            payload = evaluator.evaluate(job)
-        except Exception:
-            if strict:
-                raise
-            records.append(CellRecord(
-                job=job, status="failed", error=traceback.format_exc(),
-                runtime=time.monotonic() - start,
-            ))
-            continue
+        payload = evaluator.evaluate(job)
         records.append(CellRecord(
             job=job,
             result=payload.get("result"),
@@ -481,7 +485,6 @@ def run_campaign(
     force: bool = False,
     timeout: Optional[float] = None,
     retries: int = 1,
-    serial: bool = False,
     specs: Optional[Dict[str, ExperimentSpec]] = None,
     registry: Optional[MetricsRegistry] = None,
     progress: Optional[Callable[[CellRecord, dict], None]] = None,
@@ -498,8 +501,9 @@ def run_campaign(
     content-addressed result store: cached cells are served without
     simulation, and ``force=True`` re-runs (and overwrites) exactly
     the selected experiments' cells.  ``jobs`` is the worker-pool
-    width (default: the machine's core count); ``serial=True`` runs
-    in-process on one shared runner instead, with identical results.
+    width (default: the machine's core count); ``jobs=1`` runs every
+    cell in-process through the same two waves (same results, same
+    ``timeout`` and ``retries``).
 
     ``progress`` fires once per terminal cell with ``(record, stats)``
     where ``stats`` carries ``done``/``failed``/``cached``/``total``
@@ -549,8 +553,10 @@ def run_campaign(
     registry = registry or MetricsRegistry()
     store = ResultStore(store_dir) if store_dir is not None else None
     version = code_version()
-    n_workers = 1 if serial else max(1, jobs or os.cpu_count() or 2)
+    n_workers = max(1, jobs or os.cpu_count() or 2)
     started = time.monotonic()
+    global _last_workload
+    _last_workload = None  # never reuse another campaign's workload
 
     # -- expand and deduplicate ---------------------------------------
     exp_jobs: Dict[str, List[JobSpec]] = {
@@ -652,10 +658,7 @@ def run_campaign(
                     "kind": unique[key].kind,
                     "scale": unique[key].scale,
                     "runtime_s": cell.runtime,
-                    "payload": _serialize_payload(cell.payload)
-                    if any(isinstance(v, RunResult)
-                           for v in cell.payload.values())
-                    else cell.payload,
+                    "payload": _serialize_payload(cell.payload),
                 })
         cells[key] = cell
         announce(key, unique[key], cell)
@@ -665,160 +668,114 @@ def run_campaign(
     groups: Dict[str, List[str]] = {}
     for key in to_run:
         groups.setdefault(ckey_of[key], []).append(key)
+    ckeys = list(groups)
     calibration_jobs = [
-        dc_replace(unique[keys[0]], kind="calibrate",
+        dc_replace(unique[groups[ckey][0]], kind="calibrate",
                    scheme=Scheme.UNPROTECTED.value,
                    collect_metrics=collect_metrics)
-        for keys in groups.values()
+        for ckey in ckeys
     ]
     calibrations: Dict[str, Calibration] = {}
     calibration_rows: List[dict] = []
 
-    def calibrated(ckey: str, calib: Calibration, runtime: float) -> None:
+    def on_calibrated(outcome) -> None:
+        ckey = ckeys[outcome.index]
+        if not outcome.ok:
+            # No fallback: every cell of a failed calibration fails.
+            for key in groups[ckey]:
+                cell = _Cell(status="failed",
+                             error=f"[calibration {outcome.reason}] "
+                                   f"{outcome.error}",
+                             attempts=outcome.attempts)
+                emit_terminal(key, cell, reason=outcome.reason)
+                record_executed(key, cell)
+            return
+        metrics_state = outcome.value.pop("metrics", None)
+        if metrics_state is not None:
+            registry.merge_state(metrics_state)
+        calib = outcome.value["calibration"]
         calibrations[ckey] = calib
         row = {"key": ckey, "workload": unique[groups[ckey][0]].workload,
                "window": calib.window, "target": calib.target,
                "achieved": calib.achieved, "error": calib.error,
                "in_tolerance": calib.in_tolerance, "rounds": calib.rounds}
-        calibration_rows.append({**row, "runtime_s": round(runtime, 4)})
+        runtime = round(outcome.runtime, 4)
+        calibration_rows.append({**row, "runtime_s": runtime})
         if events is not None:
-            events.emit("calibration_completed", runtime=round(runtime, 4),
-                        **row)
+            events.emit("calibration_completed", runtime=runtime, **row)
 
-    def calibration_failed(ckey: str, error: Optional[str],
-                           reason: Optional[str], attempts: int) -> None:
-        """No fallback: every cell of a failed calibration fails."""
-        for key in groups[ckey]:
-            cell = _Cell(status="failed",
-                         error=f"[calibration {reason}] {error}",
-                         attempts=attempts)
-            emit_terminal(key, cell, reason=reason)
-            record_executed(key, cell)
+    # Wave-1 jobs are not cells: no cell_started spool, no
+    # cell-scoped fault events.
+    execute_jobs(_cell_worker, calibration_jobs,
+                 jobs=n_workers, timeout=timeout, retries=retries,
+                 on_outcome=on_calibrated)
 
     # -- wave 2: the cells, against their calibrations -----------------
-    if to_run and serial:
-        serial_observer = None
-        if collect_metrics:
-            from repro.obs.observer import Observer
-            # Shares ``registry`` directly: the serial path needs no
-            # state shipping, in-place recording is already visible.
-            serial_observer = Observer(metrics=registry, timeseries=False)
-        evaluator = _SerialEvaluator(
-            Runner(config=config, scale=scale, observer=serial_observer)
-        )
-        for ckey, calib_job in zip(groups, calibration_jobs):
-            start = time.monotonic()
-            try:
-                calib = evaluator.evaluate(calib_job)["calibration"]
-            except Exception:
-                calibration_failed(ckey, traceback.format_exc(),
-                                   "exception", 1)
-            else:
-                calibrated(ckey, calib, time.monotonic() - start)
-        for key in to_run:
-            if ckey_of[key] not in calibrations:
-                continue
-            if events is not None:
-                events.emit("cell_started", cell=key)
-            job = unique[key]
-            if collect_decisions and job.kind == "run":
-                job = dc_replace(job, collect_decisions=True)
-            start = time.monotonic()
-            try:
-                payload = evaluator.evaluate(job)
-            except Exception:
-                cell = _Cell(status="failed", error=traceback.format_exc(),
-                             runtime=time.monotonic() - start)
-                emit_terminal(key, cell)
-                record_executed(key, cell)
-            else:
-                cell = _Cell(payload=payload,
-                             runtime=time.monotonic() - start)
-                emit_terminal(key, cell)
-                record_executed(key, cell)
-    elif to_run:
-        ckeys = list(groups)
+    # Largest first (the calibrated baseline's cycles estimate a
+    # cell's cost), so no long cell starts last on an idle pool;
+    # the calibration key breaks ties, so the cells of one workload
+    # stay adjacent and a worker reuses the workload it last built.
+    runnable = [key for key in to_run if ckey_of[key] in calibrations]
+    runnable.sort(key=lambda key: (
+        -calibrations[ckey_of[key]].baseline.cycles, ckey_of[key]))
 
-        def on_calibrated(outcome) -> None:
-            ckey = ckeys[outcome.index]
-            if not outcome.ok:
-                calibration_failed(ckey, outcome.error, outcome.reason,
-                                   outcome.attempts)
-                return
-            metrics_state = outcome.value.pop("metrics", None)
+    def on_outcome(outcome) -> None:
+        key = runnable[outcome.index]
+        if outcome.ok:
+            value = outcome.value
+            metrics_state = value.pop("metrics", None)
             if metrics_state is not None:
                 registry.merge_state(metrics_state)
-            calibrated(ckey, outcome.value["calibration"], outcome.runtime)
-
-        # Wave-1 jobs are not cells: no cell_started spool, no
-        # cell-scoped fault events.
-        execute_jobs(_cell_worker, calibration_jobs,
-                     jobs=n_workers, timeout=timeout, retries=retries,
-                     on_outcome=on_calibrated)
-
-        # Largest first (the calibrated baseline's cycles estimate a
-        # cell's cost), so no long cell starts last on an idle pool.
-        runnable = [key for key in to_run if ckey_of[key] in calibrations]
-        runnable.sort(
-            key=lambda key: -calibrations[ckey_of[key]].baseline.cycles)
-
-        def on_outcome(outcome) -> None:
-            key = runnable[outcome.index]
-            if outcome.ok:
-                value = outcome.value
-                metrics_state = value.pop("metrics", None)
-                if metrics_state is not None:
-                    registry.merge_state(metrics_state)
-                cell = _Cell(
-                    payload=_deserialize_payload(value),
-                    runtime=outcome.runtime, attempts=outcome.attempts,
-                )
-            else:
-                cell = _Cell(
-                    status="failed",
-                    error=f"[{outcome.reason}] {outcome.error}",
-                    runtime=outcome.runtime, attempts=outcome.attempts,
-                )
-                if events is not None:
-                    if outcome.reason == "worker_died":
-                        events.emit("worker_died", cell=key,
-                                    attempt=outcome.attempts)
-                    elif outcome.reason == "timeout":
-                        events.emit("cell_timeout", cell=key,
-                                    attempt=outcome.attempts)
-            emit_terminal(key, cell, reason=outcome.reason)
-            record_executed(key, cell)
-
-        def on_retry(index: int, attempt: int, reason: str) -> None:
-            key = runnable[index]
-            if events is None:
-                return
-            if reason == "worker_died":
-                events.emit("worker_died", cell=key, attempt=attempt)
-            elif reason == "timeout":
-                events.emit("cell_timeout", cell=key, attempt=attempt)
-            events.emit("cell_retry", cell=key, attempt=attempt,
-                        reason=reason)
-
-        worker_jobs = [
-            dc_replace(
-                unique[key], calibration=calibrations[ckey_of[key]],
-                collect_metrics=collect_metrics or unique[key].collect_metrics,
-                collect_decisions=(unique[key].collect_decisions
-                                   or (collect_decisions
-                                       and unique[key].kind == "run")),
+            cell = _Cell(
+                payload=_deserialize_payload(value),
+                runtime=outcome.runtime, attempts=outcome.attempts,
             )
-            for key in runnable
-        ]
-        execute_jobs(_cell_worker, worker_jobs,
-                     jobs=n_workers, timeout=timeout, retries=retries,
-                     on_outcome=on_outcome,
-                     on_retry=on_retry if events is not None else None,
-                     event_spool=(str(events.spool_dir)
-                                  if events is not None else None),
-                     tags=runnable if events is not None else None)
-        if events is not None:
-            merge_spool(events)
+        else:
+            cell = _Cell(
+                status="failed",
+                error=f"[{outcome.reason}] {outcome.error}",
+                runtime=outcome.runtime, attempts=outcome.attempts,
+            )
+            if events is not None:
+                if outcome.reason == "worker_died":
+                    events.emit("worker_died", cell=key,
+                                attempt=outcome.attempts)
+                elif outcome.reason == "timeout":
+                    events.emit("cell_timeout", cell=key,
+                                attempt=outcome.attempts)
+        emit_terminal(key, cell, reason=outcome.reason)
+        record_executed(key, cell)
+
+    def on_retry(index: int, attempt: int, reason: str) -> None:
+        key = runnable[index]
+        if events is None:
+            return
+        if reason == "worker_died":
+            events.emit("worker_died", cell=key, attempt=attempt)
+        elif reason == "timeout":
+            events.emit("cell_timeout", cell=key, attempt=attempt)
+        events.emit("cell_retry", cell=key, attempt=attempt,
+                    reason=reason)
+
+    worker_jobs = [
+        dc_replace(
+            unique[key], calibration=calibrations[ckey_of[key]],
+            collect_metrics=collect_metrics or unique[key].collect_metrics,
+            collect_decisions=(unique[key].collect_decisions
+                               or (collect_decisions
+                                   and unique[key].kind == "run")),
+        )
+        for key in runnable
+    ]
+    execute_jobs(_cell_worker, worker_jobs,
+                 jobs=n_workers, timeout=timeout, retries=retries,
+                 on_outcome=on_outcome,
+                 on_retry=on_retry if events is not None else None,
+                 event_spool=(str(events.spool_dir)
+                              if events is not None else None),
+                 tags=runnable if events is not None else None)
+    if events is not None and to_run:
+        merge_spool(events)
 
     # -- aggregate per experiment -------------------------------------
     results: Dict[str, ExperimentResult] = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common import constants
-from repro.memory.sched import BankedScheduler, DRAMScheduler, FIFOScheduler
+from repro.memory.sched import DRAMScheduler, FIFOScheduler
 from repro.obs.observer import NULL_OBSERVER
 
 
@@ -47,21 +47,14 @@ class DRAMChannel:
         latency: int = constants.DRAM_LATENCY,
         request_overhead: float = 0.0,
         turnaround: float = 0.0,
-        num_banks: int = 1,
-        row_bytes: int = 2048,
-        row_miss_penalty: float = 0.0,
         partition: int = 0,
         observer=None,
         scheduler: Optional[DRAMScheduler] = None,
     ) -> None:
-        """``num_banks``/``row_bytes``/``row_miss_penalty`` configure
-        the bank-level row-buffer model (a :class:`BankedScheduler` is
-        selected automatically when ``row_miss_penalty`` is set): a
-        request whose address falls in its bank's open row proceeds at
-        bus speed; a row miss adds an activation penalty.  The default
-        (no penalty, FIFO scheduler) keeps the flat model used by the
-        calibrated baseline.  An explicit ``scheduler`` overrides the
-        automatic choice."""
+        """``scheduler`` orders the transactions (default FIFO, the
+        flat model used by the calibrated baseline); a bank-level
+        row-buffer model is a :class:`~repro.memory.sched.BankedScheduler`
+        (see :func:`~repro.memory.sched.build_scheduler`)."""
         if bytes_per_cycle <= 0:
             raise ValueError("bytes_per_cycle must be positive")
         if latency < 0:
@@ -70,25 +63,12 @@ class DRAMChannel:
             raise ValueError("request_overhead must be non-negative")
         if turnaround < 0:
             raise ValueError("turnaround must be non-negative")
-        if num_banks < 1:
-            raise ValueError("num_banks must be at least 1")
-        if row_bytes <= 0 or row_bytes & (row_bytes - 1):
-            raise ValueError("row_bytes must be a power of two")
-        if row_miss_penalty < 0:
-            raise ValueError("row_miss_penalty must be non-negative")
         self.bytes_per_cycle = bytes_per_cycle
         self.latency = latency
         self.request_overhead = request_overhead
         self.turnaround = turnaround
-        self.num_banks = num_banks
-        self.row_bytes = row_bytes
-        self.row_miss_penalty = row_miss_penalty
         if scheduler is None:
-            if row_miss_penalty > 0:
-                scheduler = BankedScheduler(num_banks, row_bytes,
-                                            row_miss_penalty)
-            else:
-                scheduler = FIFOScheduler()
+            scheduler = FIFOScheduler()
         self.scheduler = scheduler
         self._next_free = 0.0
         self._last_was_write = False

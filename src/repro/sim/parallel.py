@@ -119,8 +119,8 @@ def execute_jobs(
 ) -> List[JobOutcome]:
     """Run ``worker(payload)`` for every payload on a process pool.
 
-    ``jobs == 1`` runs everything in-process (no pool, no pickling),
-    which the tests and the ``--serial`` CLI path use.  ``timeout``
+    ``jobs == 1`` runs everything in-process (no pool, no pickling)
+    with the same timeouts, retries and callbacks.  ``timeout``
     bounds each job's wall-clock seconds; a timed-out or crashed job
     is retried up to ``retries`` extra attempts with ``backoff *
     attempt`` seconds between waves, then recorded as failed.

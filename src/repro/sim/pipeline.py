@@ -38,34 +38,6 @@ from repro.sim.stats import L2Stats, LatencyStats
 #: Completion latency of an L2 hit (core <-> L2 round trip).
 L2_HIT_LATENCY = 90
 
-#: DRAM-request kind -> the :class:`TrafficCounters` attribute that
-#: accumulates its bytes.  The MEE's emitters refuse kinds that are
-#: not registered here: an unknown kind used to be silently booked as
-#: demand data, which corrupted every overhead ratio derived from the
-#: traffic breakdown.
-TRAFFIC_KIND_COUNTERS: Dict[str, str] = {
-    "data": "data_bytes",
-    "ctr": "counter_bytes",
-    "mac": "mac_bytes",
-    "bmt": "bmt_bytes",
-    "mispred": "misprediction_bytes",
-}
-
-
-def register_traffic_kind(kind: str, counter_attr: str) -> None:
-    """Register a custom DRAM-request kind.
-
-    Schemes that emit new metadata kinds must map them to an existing
-    :class:`TrafficCounters` attribute before the MEE will emit them
-    (emission raises on unregistered kinds).
-    """
-    if counter_attr not in TrafficCounters.__dataclass_fields__:
-        raise ValueError(
-            f"unknown TrafficCounters attribute {counter_attr!r}"
-        )
-    TRAFFIC_KIND_COUNTERS[kind] = counter_attr
-
-
 def _displaced_evictions(mee: "MemoryEncryptionEngine",
                          queue: Optional[deque]) -> deque:
     """Move the MEE's victim-displaced dirty data lines onto a

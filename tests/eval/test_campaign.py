@@ -102,7 +102,7 @@ class TestSerialEngineEquivalence:
     def test_serial_and_pool_agree(self, tmp_path):
         specs = {"test-exp": _spec(
             _smoke_like(["atax"], (Scheme.PSSM, Scheme.SHM)))}
-        serial = run_campaign(["test-exp"], scale=SCALE, serial=True,
+        serial = run_campaign(["test-exp"], scale=SCALE, jobs=1,
                               specs=specs)
         pooled = run_campaign(["test-exp"], scale=SCALE, jobs=2,
                               specs=specs)
@@ -115,7 +115,7 @@ class TestSerialEngineEquivalence:
 class TestStoreResume:
     def test_second_run_is_fully_cached(self, tmp_path):
         specs = {"test-exp": _spec(_smoke_like(["atax"]))}
-        kwargs = dict(scale=SCALE, serial=True, specs=specs,
+        kwargs = dict(scale=SCALE, jobs=1, specs=specs,
                       store_dir=tmp_path / "store")
         first = run_campaign(["test-exp"], **kwargs)
         second = run_campaign(["test-exp"], **kwargs)
@@ -128,7 +128,7 @@ class TestStoreResume:
 
     def test_force_reexecutes_cached_cells(self, tmp_path):
         specs = {"test-exp": _spec(_smoke_like(["atax"]))}
-        kwargs = dict(scale=SCALE, serial=True, specs=specs,
+        kwargs = dict(scale=SCALE, jobs=1, specs=specs,
                       store_dir=tmp_path / "store")
         run_campaign(["test-exp"], **kwargs)
         forced = run_campaign(["test-exp"], force=True, **kwargs)
@@ -140,7 +140,7 @@ class TestStoreResume:
             "exp-a": _spec(_smoke_like(["atax"]), "exp-a"),
             "exp-b": _spec(_smoke_like(["atax"]), "exp-b"),
         }
-        report = run_campaign(["exp-a", "exp-b"], scale=SCALE, serial=True,
+        report = run_campaign(["exp-a", "exp-b"], scale=SCALE, jobs=1,
                               specs=specs)
         assert report.totals["cells"] == 1       # deduplicated ...
         assert report.totals["references"] == 2  # ... but counted twice
@@ -157,7 +157,7 @@ class TestGracefulDegradation:
     def test_failed_cell_recorded_and_excluded(self, tmp_path):
         specs = {"test-exp": _spec(
             _smoke_like(["atax", "no-such-workload"]))}
-        report = run_campaign(["test-exp"], scale=SCALE, serial=True,
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
                               specs=specs)
         assert report.totals["failed"] == 1
         (failed,) = report.failed_cells
@@ -174,7 +174,7 @@ class TestGracefulDegradation:
 
     def test_failed_cells_are_not_cached(self, tmp_path):
         specs = {"test-exp": _spec(_smoke_like(["no-such-workload"]))}
-        kwargs = dict(scale=SCALE, serial=True, specs=specs,
+        kwargs = dict(scale=SCALE, jobs=1, specs=specs,
                       store_dir=tmp_path / "store")
         run_campaign(["test-exp"], **kwargs)
         again = run_campaign(["test-exp"], **kwargs)
@@ -190,7 +190,7 @@ class TestProfileCells:
         specs = {"test-exp": _spec(_smoke_like(["atax"], kind="profile"))}
         kwargs = dict(scale=SCALE, specs=specs,
                       store_dir=tmp_path / "store")
-        first = run_campaign(["test-exp"], serial=True, **kwargs)
+        first = run_campaign(["test-exp"], jobs=1, **kwargs)
         cached = run_campaign(["test-exp"], jobs=1, **kwargs)
         assert cached.totals["cached"] == 1
         (rec,) = cached.records["test-exp"]
@@ -202,7 +202,7 @@ class TestProfileCells:
 class TestManifest:
     def test_shape(self, tmp_path):
         specs = {"test-exp": _spec(_smoke_like(["atax"]))}
-        report = run_campaign(["test-exp"], scale=SCALE, serial=True,
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
                               specs=specs, store_dir=tmp_path / "store")
         manifest = report.manifest
         assert manifest["campaign_format"] == 1
@@ -281,7 +281,7 @@ class TestCellMetrics:
                      store_dir=tmp_path / "pool",
                      specs={"smoke": SMOKE_SPEC}, registry=pool_reg,
                      collect_metrics=True)
-        run_campaign(["smoke"], scale=SCALE, serial=True,
+        run_campaign(["smoke"], scale=SCALE, jobs=1,
                      specs={"smoke": SMOKE_SPEC}, registry=serial_reg,
                      collect_metrics=True)
         pool = pool_reg.snapshot()["histograms"]["sim.demand_read_latency"]
@@ -321,7 +321,7 @@ class TestCalibrationWave:
                               specs=specs, registry=pool_reg,
                               collect_metrics=True, events=events)
         events.close()
-        run_campaign(["test-exp"], scale=SCALE, serial=True, specs=specs,
+        run_campaign(["test-exp"], scale=SCALE, jobs=1, specs=specs,
                      registry=serial_reg, collect_metrics=True)
 
         assert report.totals["ok"] == 6
@@ -362,7 +362,7 @@ class TestCalibrationWave:
 
         kwargs = dict(workloads=["atax", "mvt"], scale=SCALE)
         pooled = run_campaign([experiment], jobs=2, **kwargs)
-        serial = run_campaign([experiment], serial=True, **kwargs)
+        serial = run_campaign([experiment], jobs=1, **kwargs)
         assert pooled.totals["failed"] == serial.totals["failed"] == 0
         assert payloads(pooled) == payloads(serial)
         assert pooled.manifest["calibrations"] == [
@@ -374,8 +374,9 @@ class TestCalibrationWave:
     def test_failed_calibration_fails_only_its_cells(self, serial):
         specs = {"test-exp": _spec(_smoke_like(
             ["atax", "no-such-workload"], (Scheme.PSSM, Scheme.SHM)))}
-        report = run_campaign(["test-exp"], scale=SCALE, jobs=2,
-                              serial=serial, specs=specs, retries=0)
+        report = run_campaign(["test-exp"], scale=SCALE,
+                              jobs=1 if serial else 2, specs=specs,
+                              retries=0)
         records = report.records["test-exp"]
         assert {r.job.workload for r in records if r.ok} == {"atax"}
         failed = [r for r in records if not r.ok]
@@ -429,6 +430,60 @@ class TestCalibrationWave:
                 is runner._calibrations)
         assert (evaluator._runner_for(banked)._calibrations
                 is not runner._calibrations)
+
+
+class TestWorkloadReuse:
+    """A worker keeps the last workload it built and reuses it for the
+    next cell with the same calibration key."""
+
+    def test_cells_of_one_workload_build_it_once(self, monkeypatch):
+        import repro.sim.runner as runner_mod
+
+        builds = []
+        build = runner_mod.build_workload
+
+        def counting_build(name, scale):
+            builds.append(name)
+            return build(name, scale)
+
+        monkeypatch.setattr(runner_mod, "build_workload", counting_build)
+        specs = {"test-exp": _spec(_smoke_like(
+            ["atax", "mvt"], (Scheme.NAIVE, Scheme.PSSM, Scheme.SHM)))}
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
+                              specs=specs)
+        assert report.totals["ok"] == 6
+        # Two calibrations, then at most one rebuild per workload's run
+        # of adjacent cells (8 builds when every cell rebuilds).
+        assert len(builds) <= 4
+        assert sorted(set(builds)) == ["atax", "mvt"]
+
+    def test_profile_cells_leave_the_kept_workload_usable(self):
+        # A profile cell never builds its workload; the run cell of the
+        # same key that follows it must still get a real one.
+        def jobs(_workloads, config, scale):
+            return [JobSpec(experiment="test-exp", workload=name, kind=kind,
+                            scheme=Scheme.SHM.value, series=kind,
+                            scale=scale, config=config)
+                    for name in ("atax", "mvt")
+                    for kind in ("profile", "run")]
+
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
+                              specs={"test-exp": _spec(jobs)})
+        assert report.totals["failed"] == 0
+        assert report.totals["ok"] == 4
+
+    def test_campaign_starts_without_a_reused_workload(self, monkeypatch):
+        from repro.eval import campaign
+
+        specs = {"test-exp": _spec(_smoke_like(["atax"]))}
+        (job,) = specs["test-exp"].jobs(None, SimConfig(), SCALE)
+        # A stale entry under the cell's own key would be seeded into
+        # its runner if the campaign kept it.
+        monkeypatch.setattr(campaign, "_last_workload",
+                            (calibration_key(job), None))
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
+                              specs=specs)
+        assert report.totals["ok"] == 1
 
 
 class TestCalibrationReuse:

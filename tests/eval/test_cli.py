@@ -208,7 +208,7 @@ class TestCampaignCLI:
     def test_inspect_renders_manifest(self, tmp_path, capsys):
         from repro.eval.campaign import SMOKE_SPEC, run_campaign
 
-        report = run_campaign(["smoke"], scale=0.05, serial=True,
+        report = run_campaign(["smoke"], scale=0.05, jobs=1,
                               workloads=["atax"],
                               specs={"smoke": SMOKE_SPEC})
         path = tmp_path / "manifest.json"
@@ -221,7 +221,7 @@ class TestCampaignCLI:
     def test_inspect_cells_flag_lists_cells(self, tmp_path, capsys):
         from repro.eval.campaign import SMOKE_SPEC, run_campaign
 
-        report = run_campaign(["smoke"], scale=0.05, serial=True,
+        report = run_campaign(["smoke"], scale=0.05, jobs=1,
                               workloads=["atax"],
                               specs={"smoke": SMOKE_SPEC})
         path = tmp_path / "manifest.json"

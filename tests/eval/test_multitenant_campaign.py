@@ -99,7 +99,7 @@ class TestExecution:
         import dataclasses
         small = dataclasses.replace(spec, jobs=jobs_fn)
         specs = {spec.name: small}
-        serial = run_campaign([spec.name], scale=SCALE, serial=True,
+        serial = run_campaign([spec.name], scale=SCALE, jobs=1,
                               specs=specs)
         pooled = run_campaign([spec.name], scale=SCALE, jobs=2,
                               specs=specs)
@@ -113,7 +113,7 @@ class TestExecution:
                                                     churn_levels=[0.5])
         import dataclasses
         specs = {spec.name: dataclasses.replace(spec, jobs=jobs_fn)}
-        kwargs = dict(scale=SCALE, serial=True, specs=specs,
+        kwargs = dict(scale=SCALE, jobs=1, specs=specs,
                       store_dir=tmp_path / "store")
         first = run_campaign([spec.name], **kwargs)
         second = run_campaign([spec.name], **kwargs)

@@ -101,7 +101,7 @@ def _telemetry(tmp_path):
 class TestHappyPath:
     def test_serial_campaign_is_fully_recorded(self, tmp_path):
         events, store = _telemetry(tmp_path)
-        report = run_campaign(["test-exp"], scale=SCALE, serial=True,
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
                               specs=_spec(("atax", "mvt")),
                               events=events, telemetry=store)
         events.close()
@@ -147,7 +147,7 @@ class TestHappyPath:
 
     def test_cached_resume_emits_cell_cached(self, tmp_path):
         specs = _spec()
-        kwargs = dict(scale=SCALE, serial=True, specs=specs,
+        kwargs = dict(scale=SCALE, jobs=1, specs=specs,
                       store_dir=tmp_path / "store")
         run_campaign(["test-exp"], **kwargs)
 
@@ -169,11 +169,11 @@ class TestFaultTelemetry:
     store gets no partial row, and the dashboard shows the retry."""
 
     def _run_with_fake_worker(self, tmp_path, monkeypatch, fake,
-                              **kwargs):
+                              jobs=2, **kwargs):
         monkeypatch.setenv(_MARKER_VAR, str(tmp_path / "marker"))
         monkeypatch.setattr("repro.eval.campaign._cell_worker", fake)
         events, store = _telemetry(tmp_path)
-        report = run_campaign(["test-exp"], scale=SCALE, jobs=2,
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=jobs,
                               retries=1, specs=_spec(kind="profile"),
                               events=events, telemetry=store, **kwargs)
         events.close()
@@ -215,21 +215,26 @@ class TestFaultTelemetry:
         assert ">1<" in html  # the retries stat tile
 
     def test_timeout_recorded_and_retried(self, tmp_path, monkeypatch):
-        report, events, store = self._run_with_fake_worker(
-            tmp_path, monkeypatch, _sleep_then_ok, timeout=0.5)
-        assert report.totals["failed"] == 0
-        (rec,) = report.records["test-exp"]
-        assert rec.attempts == 2
+        # In-process (jobs=1) and on the pool: both honour the budget.
+        for jobs in (1, 2):
+            run_dir = tmp_path / f"jobs{jobs}"
+            run_dir.mkdir()
+            report, events, store = self._run_with_fake_worker(
+                run_dir, monkeypatch, _sleep_then_ok, jobs=jobs,
+                timeout=0.5)
+            assert report.totals["failed"] == 0
+            (rec,) = report.records["test-exp"]
+            assert rec.attempts == 2
 
-        info = validate_events(events.path)
-        assert info["types"]["cell_timeout"] == 1
-        assert info["types"]["cell_retry"] == 1
-        retry = next(r for r in read_events(events.path)
-                     if r["type"] == "cell_retry")
-        assert retry["reason"] == "timeout"
-        assert store.cell_count() == 1
-        (row,) = store.cell_history(rec.key)
-        assert row["status"] == "ok" and row["attempts"] == 2
+            info = validate_events(events.path)
+            assert info["types"]["cell_timeout"] == 1
+            assert info["types"]["cell_retry"] == 1
+            retry = next(r for r in read_events(events.path)
+                         if r["type"] == "cell_retry")
+            assert retry["reason"] == "timeout"
+            assert store.cell_count() == 1
+            (row,) = store.cell_history(rec.key)
+            assert row["status"] == "ok" and row["attempts"] == 2
 
     def test_exhausted_retries_leave_cell_failed_trail(self, tmp_path,
                                                        monkeypatch):
@@ -287,7 +292,7 @@ class TestFaultTelemetry:
 class TestNoTelemetryByDefault:
     def test_manifest_carries_campaign_id_without_event_log(self,
                                                             tmp_path):
-        report = run_campaign(["test-exp"], scale=SCALE, serial=True,
+        report = run_campaign(["test-exp"], scale=SCALE, jobs=1,
                               specs=_spec())
         assert report.manifest["campaign"] == campaign_id(
             ["test-exp"], None, SCALE, report.manifest["code_version"])

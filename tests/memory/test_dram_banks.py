@@ -3,11 +3,12 @@
 import pytest
 
 from repro.memory.dram import DRAMChannel
+from repro.memory.sched import BankedScheduler
 
 
 def make(penalty=20.0, banks=4):
-    return DRAMChannel(bytes_per_cycle=32, latency=0, num_banks=banks,
-                       row_bytes=2048, row_miss_penalty=penalty)
+    return DRAMChannel(bytes_per_cycle=32, latency=0,
+                       scheduler=BankedScheduler(banks, 2048, penalty))
 
 
 class TestRowBuffer:
@@ -56,8 +57,8 @@ class TestRowBuffer:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DRAMChannel(num_banks=0)
+            BankedScheduler(num_banks=0)
         with pytest.raises(ValueError):
-            DRAMChannel(row_bytes=1000)
+            BankedScheduler(row_bytes=1000)
         with pytest.raises(ValueError):
-            DRAMChannel(row_miss_penalty=-1)
+            BankedScheduler(row_miss_penalty=-1)

@@ -176,11 +176,6 @@ class TestCampaignTelemetryNullPath:
                          jobs=jobs, aggregate=aggregate)},
                      **kwargs)
 
-    def test_serial_campaign_never_touches_telemetry(self, monkeypatch):
-        counts = {"emit": 0, "spool": 0, "record": 0}
-        self._run(counts, monkeypatch, serial=True)
-        assert counts == {"emit": 0, "spool": 0, "record": 0}
-
     def test_in_process_pool_path_never_spools(self, monkeypatch):
         """jobs=1 drives ``parallel._call`` in-process — the same code
         pool workers run — so this also proves the worker-side

@@ -117,7 +117,7 @@ class TestTelemetryDeterminism:
         from repro.obs.events import read_events, write_canonical
 
         serial_events, serial_store = self._campaign(
-            tmp_path, "serial", serial=True)
+            tmp_path, "serial", jobs=1)
         pool_events, pool_store = self._campaign(tmp_path, "pool", jobs=2)
 
         write_canonical(read_events(serial_events.path),

@@ -13,11 +13,7 @@ from repro.common import constants
 from repro.common.config import SimConfig
 from repro.common.types import Scheme
 from repro.sim.gpu import GPUSimulator
-from repro.sim.pipeline import (
-    L2_HIT_LATENCY,
-    TRAFFIC_KIND_COUNTERS,
-    register_traffic_kind,
-)
+from repro.sim.pipeline import L2_HIT_LATENCY
 from tests.conftest import (
     build_tiny_random,
     build_tiny_streaming,
@@ -125,22 +121,6 @@ def test_emission_rejects_unregistered_kind():
     # corrupting every overhead ratio built from the breakdown.
     with pytest.raises(ValueError, match="unregistered DRAM request kind"):
         sim.mees[0]._emit_bulk(32, False, "ecc")
-
-
-def test_register_traffic_kind_makes_kind_schedulable():
-    register_traffic_kind("ecc_test", "mac_bytes")
-    try:
-        sim = _sim()
-        sim.mees[0]._emit_bulk(48, False, "ecc_test")
-        assert sim.pipeline.traffic.mac_bytes == 48
-    finally:
-        del TRAFFIC_KIND_COUNTERS["ecc_test"]
-
-
-def test_register_traffic_kind_validates_counter_attr():
-    with pytest.raises(ValueError, match="unknown TrafficCounters"):
-        register_traffic_kind("bogus_kind", "no_such_counter")
-    assert "bogus_kind" not in TRAFFIC_KIND_COUNTERS
 
 
 # ---------------------------------------------------------------------------
